@@ -4,7 +4,9 @@
 //! Run with `cargo bench -p nsta-bench --bench substrate`.
 
 use nsta_bench::microbench::bench;
-use nsta_circuit::{Circuit, CoupledLines, RcLineSpec, TransientOptions};
+use nsta_circuit::{
+    Circuit, CoupledLines, FactoredSystem, NodeId, RcLineSpec, StarCoupledLines, TransientOptions,
+};
 use nsta_numeric::{DenseMatrix, LuFactors};
 use nsta_spice::{cells, Netlist, Process, SimOptions};
 use nsta_waveform::Waveform;
@@ -54,6 +56,70 @@ fn bench_linear_transient() {
             .expect("run");
         res.voltage(far[1]).expect("trace")
     });
+}
+
+/// One crosstalk victim stage as the SI flow factors it: a Thevenin
+/// driver into the victim wire, star-coupled at a third and two thirds
+/// of its length to two driven aggressor wires (the bus workload's
+/// extraction: 25.5 Ω / 28.8 fF wires, 50 fF per coupling), over a
+/// 3 ns window at 4 ps — 751 time points.
+fn victim_stage(segments: usize) -> (FactoredSystem, NodeId) {
+    let mut ckt = Circuit::new();
+    let placeholder = Waveform::constant(0.0, 0.0, 3e-9).expect("flat");
+    let v_in = ckt.node("victim_in");
+    ckt.thevenin_driver(v_in, placeholder.clone(), 200.0)
+        .expect("driver");
+    let mut agg_ins = Vec::new();
+    for _ in 0..2 {
+        let a_in = ckt.anon_node();
+        ckt.thevenin_driver(a_in, placeholder.clone(), 200.0)
+            .expect("driver");
+        agg_ins.push(a_in);
+    }
+    let line = RcLineSpec::new(25.5, 28.8e-15, segments).expect("line");
+    let bundle = StarCoupledLines::new(line, vec![(line, 50e-15), (line, 50e-15)]).expect("bundle");
+    let (far, _) = bundle.build(&mut ckt, v_in, &agg_ins, "w").expect("build");
+    ckt.capacitor(far, Circuit::GROUND, 10e-15).expect("load");
+    let opts = TransientOptions::new(0.0, 3e-9, 4e-12).expect("opts");
+    (ckt.factor_transient(opts).expect("factor"), far)
+}
+
+/// The per-victim noiseless/noisy transient pair — the largest layer of
+/// the crosstalk solve — as one fused two-column sweep against two
+/// single-column sweeps of the same factored system, at the bus64 victim
+/// shape (3 segments) and the mesh32 one (32 segments).
+fn bench_transient_pair() {
+    let edge = |t0: f64, from: f64| {
+        Waveform::new(
+            vec![t0, t0 + 100e-12, 4e-9],
+            vec![from, 1.2 - from, 1.2 - from],
+        )
+        .expect("edge")
+    };
+    let victim = edge(1e-9, 0.0);
+    let quiet = Waveform::constant(0.0, 0.0, 3e-9).expect("flat");
+    let (agg_a, agg_b) = (edge(0.9e-9, 0.0), edge(1.1e-9, 0.0));
+    let noiseless = [&victim, &quiet, &quiet];
+    let noisy = [&victim, &agg_a, &agg_b];
+    for (shape, segments) in [("bus64", 3), ("mesh32", 32)] {
+        let (system, far) = victim_stage(segments);
+        println!(
+            "transient pair at the {shape} victim shape: nnz {}, {} time points",
+            system.nnz(),
+            system.times().len()
+        );
+        bench(&format!("transient/pair_fused/{shape}"), || {
+            system
+                .run_node_pair(&noiseless, &noisy, &[far])
+                .expect("pair")
+        });
+        bench(&format!("transient/pair_two_sweeps/{shape}"), || {
+            (
+                system.run_nodes(&noiseless, &[far]).expect("noiseless"),
+                system.run_nodes(&noisy, &[far]).expect("noisy"),
+            )
+        });
+    }
 }
 
 fn bench_spice_inverter() {
@@ -125,6 +191,7 @@ fn main() {
     bench_lu();
     nsta_bench::microbench::bench_solver_backends();
     bench_linear_transient();
+    bench_transient_pair();
     bench_spice_inverter();
     bench_liberty_parse();
 }

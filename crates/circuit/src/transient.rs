@@ -1,3 +1,57 @@
+//! The trapezoidal transient kernel: factor once, sweep many source sets.
+//!
+//! [`Circuit::factor_transient`] stamps and factors a topology into a
+//! [`FactoredSystem`]; every run after that is a *sweep* of the factored
+//! system across the time grid for one set of source waveforms. Each step
+//! is
+//!
+//! ```text
+//! (C + hG/2)·x_{n+1} = (C − hG/2)·x_n + src_{n+1},
+//! src_{n+1} = −C_UK·Δvk − h·G_UK·v̄k + h·(inj_n + inj_{n+1})/2,
+//! ```
+//!
+//! one mat-vec and one LU substitution plus the source term `src`.
+//!
+//! # Source-row table
+//!
+//! Only the free rows next to a driver (a non-zero `G_UK`/`C_UK` coupler
+//! entry) or carrying a current injection ever receive a source term; on
+//! a coupled RC mesh they are a handful of its rows. `factor_transient`
+//! records those rows with their coupler entries, and a sweep tabulates
+//! `src` as a compact `steps × source-rows` table, adding it on those
+//! rows only.
+//!
+//! # K-column sweep
+//!
+//! A crosstalk victim needs two runs of one system that differ only in
+//! the aggressor sources (noiseless and noisy). The sweep is generic over
+//! a column count `K`: it steps `K` source sets as interleaved columns
+//! through one walk of the CSR mat-vec and LU index arrays
+//! ([`CsrMatrix::mul_vec_cols`], [`SparseLu::solve_cols_in_place`]).
+//! [`FactoredSystem::run_nodes`] and [`FactoredSystem::run_with_vsources`]
+//! are the `K = 1` instance, [`FactoredSystem::run_node_pair`] the
+//! `K = 2` one. The dense backend shares the set-up and steps its columns
+//! one after another. Fault injection polls the NaN-solve site once per
+//! column in column order. A poisoned column's traces are an error, and
+//! the columns after it are not polled: the fault sequence is the one of
+//! running each column as its own sweep and stopping at the first
+//! failure, as the crosstalk flow did before the pair was fused.
+//!
+//! # Why the results are bit-identical
+//!
+//! * Each column runs exactly the single-column operation sequence: the
+//!   column kernels accumulate every column in the single-column order,
+//!   and the set-up evaluates the same expressions on the same samples.
+//! * A row outside the source-row table has only zero coupler entries
+//!   and no injection, so with finite source samples (waveforms hold
+//!   finite values only) its source term is exactly `+0.0`: `0.0 − (±0)`
+//!   is `+0.0`. The sparse step skips the row, which skips only
+//!   `y + (+0.0)`; the dense step still adds it from a full-length row.
+//! * That add never changes `y`: a CSR mat-vec row starts from `+0.0`,
+//!   and a round-to-nearest sum starting from `+0.0` is never `−0.0`, so
+//!   `y + (+0.0) == y` bit for bit (NaN stays NaN). The DC right-hand
+//!   side leaves such a row at `+0.0`, the value it had before.
+
 use crate::builder::{Circuit, NodeId};
 use crate::CircuitError;
 use nsta_numeric::{CsrMatrix, DenseMatrix, LuFactors, SparseLu, TripletMatrix};
@@ -179,8 +233,9 @@ impl TransientResult {
 ///   the trapezoidal left-hand side `C + (h/2)·G` and the DC operating
 ///   point system;
 /// * **step** ([`FactoredSystem::run`], [`FactoredSystem::run_with_vsources`],
-///   [`FactoredSystem::run_nodes`]): sample the sources on the time grid
-///   and sweep the factored system across it.
+///   [`FactoredSystem::run_nodes`], [`FactoredSystem::run_node_pair`]):
+///   sample the sources on the time grid and sweep the factored system
+///   across it.
 ///
 /// Because the factors depend only on topology, element values and `dt` —
 /// never on source waveforms — a `FactoredSystem` is parameterized purely
@@ -208,17 +263,40 @@ pub struct FactoredSystem {
     /// Node index -> vsource slot (`usize::MAX` for free nodes).
     driven_slot: Vec<usize>,
     is_driven: Vec<bool>,
-    g_uk: DenseMatrix,
-    c_uk: DenseMatrix,
+    /// The free rows the sources reach (see the [module docs](self)).
+    sources: SourceRows,
     /// The factored step matrices in the selected backend's storage.
     factors: StepFactors,
     /// The source circuit's own vsource waveforms (construction order,
     /// shared with the circuit by refcount), so [`FactoredSystem::run`]
     /// works without the circuit.
     default_sources: Vec<Arc<Waveform>>,
-    /// Current injections captured at factor time: `(free row, waveform)`.
-    /// Injections into ideally driven nodes are absorbed and dropped here.
+}
+
+/// The source-row table of a factored system: the free rows with a
+/// non-zero `G_UK`/`C_UK` coupler entry or a current injection, and what
+/// reaches them. Every other free row's source term is exactly `+0.0`.
+#[derive(Debug)]
+struct SourceRows {
+    /// Free rows, ascending.
+    rows: Vec<usize>,
+    /// Coupler entries of `rows`, `nd` per row: `g[j * nd + k]` couples
+    /// `rows[j]` to voltage source `k`.
+    g: Vec<f64>,
+    c: Vec<f64>,
+    /// Current injections captured at factor time, in construction order:
+    /// `(index into rows, waveform)`. Injections into ideally driven nodes
+    /// are absorbed and dropped.
     injections: Vec<(usize, Arc<Waveform>)>,
+}
+
+/// Where a recorded node's voltage lives in the step state.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// Free unknown `i`.
+    Free(usize),
+    /// Driven node: voltage source `k`.
+    Driven(usize),
 }
 
 /// Backend-specific storage of the step matrix `C − (h/2)·G`, the factored
@@ -341,6 +419,40 @@ impl Circuit {
         let g_csr = g_uu.to_csr();
         let c_csr = c_uu.to_csr();
 
+        // Source-row table: the free rows with a non-zero coupler entry or
+        // a current injection. Every other row's source term is +0.0.
+        let injected: Vec<(usize, Arc<Waveform>)> = self
+            .isources
+            .iter()
+            .filter(|s| !is_driven[s.node]) // current into an ideally driven node is absorbed
+            .map(|s| (position[s.node], s.waveform.clone()))
+            .collect();
+        let rows: Vec<usize> = (0..nf)
+            .filter(|&r| {
+                let couplers = g_uk.row(r)[..nd].iter().chain(&c_uk.row(r)[..nd]);
+                couplers.copied().any(|v| v != 0.0) || injected.iter().any(|(ir, _)| *ir == r)
+            })
+            .collect();
+        let mut src_index = vec![usize::MAX; nf];
+        for (j, &r) in rows.iter().enumerate() {
+            src_index[r] = j;
+        }
+        let sources = SourceRows {
+            g: rows
+                .iter()
+                .flat_map(|&r| g_uk.row(r)[..nd].iter().copied())
+                .collect(),
+            c: rows
+                .iter()
+                .flat_map(|&r| c_uk.row(r)[..nd].iter().copied())
+                .collect(),
+            injections: injected
+                .into_iter()
+                .map(|(r, w)| (src_index[r], w))
+                .collect(),
+            rows,
+        };
+
         let h = opts.dt;
         let steps = ((opts.t_stop - opts.t_start) / h).round() as usize;
         let times: Arc<[f64]> = (0..=steps)
@@ -389,12 +501,6 @@ impl Circuit {
 
         let default_sources: Vec<Arc<Waveform>> =
             self.vsources.iter().map(|s| s.waveform.clone()).collect();
-        let injections: Vec<(usize, Arc<Waveform>)> = self
-            .isources
-            .iter()
-            .filter(|s| !is_driven[s.node]) // current into an ideally driven node is absorbed
-            .map(|s| (position[s.node], s.waveform.clone()))
-            .collect();
 
         let system = FactoredSystem {
             opts,
@@ -405,11 +511,9 @@ impl Circuit {
             position,
             driven_slot,
             is_driven,
-            g_uk,
-            c_uk,
+            sources,
             factors,
             default_sources,
-            injections,
         };
         nsta_obs::count!("circuit.transient.factorizations");
         nsta_obs::recorder().gauge_max("circuit.transient.max_nnz", system.nnz() as f64);
@@ -484,21 +588,12 @@ impl FactoredSystem {
         &self,
         sources: &[&Waveform],
     ) -> Result<TransientResult, CircuitError> {
-        let n = self.n;
-        let mut data = Vec::with_capacity(n * self.times.len());
-        self.sweep(sources, |x, vk_now| {
-            for i in 0..n {
-                data.push(if self.is_driven[i] {
-                    vk_now[self.driven_slot[i]]
-                } else {
-                    x[self.position[i]]
-                });
-            }
-        })?;
+        let slots: Vec<Slot> = (0..self.n).map(|i| self.slot(i)).collect();
+        let [data] = self.sweep([sources], &slots)?;
         Ok(TransientResult {
             times: self.times.clone(),
             data,
-            nodes: n,
+            nodes: self.n,
         })
     }
 
@@ -517,18 +612,59 @@ impl FactoredSystem {
     /// * [`CircuitError::InvalidOptions`] on a source-count mismatch.
     /// * [`CircuitError::NotRecorded`] if `nodes` names ground.
     /// * [`CircuitError::UnknownNode`] for foreign node ids.
+    /// * [`CircuitError::Numeric`] if a recorded trace is not finite.
     /// * Propagates numeric failures from the factored solves.
     pub fn run_nodes(
         &self,
         sources: &[&Waveform],
         nodes: &[NodeId],
     ) -> Result<Vec<Waveform>, CircuitError> {
-        // Resolve each requested node to its storage slot up front.
-        enum Slot {
-            Free(usize),
-            Driven(usize),
+        let slots = self.node_slots(nodes)?;
+        let [data] = self.sweep([sources], &slots)?;
+        self.traces(&data, slots.len())
+    }
+
+    /// Runs two source sets through one fused sweep and records the
+    /// requested nodes of each, in request order — the noiseless/noisy
+    /// pair of a crosstalk victim in one pass over the factors.
+    ///
+    /// Each column's traces are bit-identical to
+    /// [`FactoredSystem::run_nodes`] with the same sources (see the
+    /// [module docs](self)), and each column fails on its own: a column
+    /// whose traces are not finite is an `Err` next to a sound one. The
+    /// columns poll the NaN-solve fault site in order, `first` then
+    /// `second`.
+    ///
+    /// # Errors
+    ///
+    /// * Per column: [`CircuitError::Numeric`] if a recorded trace is not
+    ///   finite.
+    /// * For the whole call: the input and solver errors of
+    ///   [`FactoredSystem::run_nodes`].
+    pub fn run_node_pair(
+        &self,
+        first: &[&Waveform],
+        second: &[&Waveform],
+        nodes: &[NodeId],
+    ) -> Result<[Result<Vec<Waveform>, CircuitError>; 2], CircuitError> {
+        let slots = self.node_slots(nodes)?;
+        let columns = self.sweep([first, second], &slots)?;
+        Ok(columns.map(|data| self.traces(&data, slots.len())))
+    }
+
+    /// Where node `i`'s voltage lives in the step state.
+    fn slot(&self, i: usize) -> Slot {
+        if self.is_driven[i] {
+            Slot::Driven(self.driven_slot[i])
+        } else {
+            Slot::Free(self.position[i])
         }
-        let slots: Vec<Slot> = nodes
+    }
+
+    /// Resolves requested nodes to their state slots, rejecting ground and
+    /// foreign ids.
+    fn node_slots(&self, nodes: &[NodeId]) -> Result<Vec<Slot>, CircuitError> {
+        nodes
             .iter()
             .map(|&node| {
                 if node.is_ground() {
@@ -539,26 +675,17 @@ impl FactoredSystem {
                 if node.0 >= self.n {
                     return Err(CircuitError::UnknownNode { index: node.0 });
                 }
-                Ok(if self.is_driven[node.0] {
-                    Slot::Driven(self.driven_slot[node.0])
-                } else {
-                    Slot::Free(self.position[node.0])
-                })
+                Ok(self.slot(node.0))
             })
-            .collect::<Result<_, _>>()?;
-        let width = slots.len();
-        let mut data = Vec::with_capacity(width * self.times.len());
-        self.sweep(sources, |x, vk_now| {
-            for slot in &slots {
-                data.push(match *slot {
-                    Slot::Free(i) => x[i],
-                    Slot::Driven(k) => vk_now[k],
-                });
-            }
-        })?;
+            .collect()
+    }
+
+    /// Splits a time-major record `width` slots wide into one waveform per
+    /// slot.
+    fn traces(&self, data: &[f64], width: usize) -> Result<Vec<Waveform>, CircuitError> {
         (0..width)
             .map(|j| {
-                let trace: Vec<f64> = data.chunks_exact(width.max(1)).map(|row| row[j]).collect();
+                let trace: Vec<f64> = data.chunks_exact(width).map(|row| row[j]).collect();
                 // A solve that went NaN/inf is a *numeric* failure — the
                 // class the STA fallback chain retries on another backend —
                 // not a waveform validation error.
@@ -572,160 +699,198 @@ impl FactoredSystem {
             .collect()
     }
 
-    /// The shared step loop: samples sources, solves the DC initial
-    /// condition, then marches the factored trapezoidal system across the
-    /// grid, handing `(x, vk_row)` to `record` at every time point
-    /// (including `t_start`).
-    fn sweep(
+    /// The one step loop: samples `K` source sets, solves their DC initial
+    /// conditions, then marches the factored trapezoidal system across the
+    /// grid, recording `slots` at every time point (including `t_start`)
+    /// into one time-major buffer per column.
+    fn sweep<const K: usize>(
         &self,
-        sources: &[&Waveform],
-        mut record: impl FnMut(&[f64], &[f64]),
-    ) -> Result<(), CircuitError> {
-        if sources.len() != self.nd {
+        sources: [&[&Waveform]; K],
+        slots: &[Slot],
+    ) -> Result<[Vec<f64>; K], CircuitError> {
+        if sources.iter().any(|s| s.len() != self.nd) {
             return Err(CircuitError::InvalidOptions(
                 "one waveform required per voltage source",
             ));
         }
         let (nf, nd) = (self.nf, self.nd);
         let nt = self.times.len();
-        // One bump per sweep, not per step — the disabled path stays a
+        let src = &self.sources;
+        let ns = src.rows.len();
+        // One bump per column, not per step — the disabled path stays a
         // single branch outside the integration loop.
-        nsta_obs::count!("circuit.transient.sweeps");
-        nsta_obs::count!("circuit.transient.steps", nt);
+        nsta_obs::count!("circuit.transient.sweeps", K);
+        nsta_obs::count!("circuit.transient.steps", K * nt);
         let h = self.opts.dt;
 
-        // Known node voltages at every time point (time-major: one row of
-        // `nd` values per time point).
-        let mut vk = vec![0.0; nt * nd];
+        // Known node voltages of every column at every time point
+        // (time-major: one row of `nd` values per time point).
         let mut scratch = Vec::new();
-        for (k, w) in sources.iter().enumerate() {
-            w.sample_on_grid(&self.times, &mut scratch);
-            for (ti, &v) in scratch.iter().enumerate() {
-                vk[ti * nd + k] = v;
+        let vk: [Vec<f64>; K] = std::array::from_fn(|c| {
+            let mut vk = vec![0.0; nt * nd];
+            for (k, w) in sources[c].iter().enumerate() {
+                w.sample_on_grid(&self.times, &mut scratch);
+                for (ti, &v) in scratch.iter().enumerate() {
+                    vk[ti * nd + k] = v;
+                }
             }
-        }
-        // Injected currents at every time point (time-major, `nf` wide);
-        // left empty when the system has no current injections, which skips
-        // both the table fill and the per-step reads.
+            vk
+        });
+        // Injected currents on the source rows at every time point
+        // (time-major, `ns` wide), shared by all columns; left empty when
+        // the system has no current injections, which skips both the
+        // table fill and the per-step reads.
         let mut inj = Vec::new();
-        if !self.injections.is_empty() {
-            inj.resize(nt * nf, 0.0);
-            for (r, waveform) in &self.injections {
+        if !src.injections.is_empty() {
+            inj.resize(nt * ns, 0.0);
+            for (j, waveform) in &src.injections {
                 waveform.sample_on_grid(&self.times, &mut scratch);
                 for (ti, &v) in scratch.iter().enumerate() {
-                    inj[ti * nf + r] += v;
+                    inj[ti * ns + j] += v;
                 }
             }
         }
 
         // DC initial condition: G_UU x = inj(t0) − G_UK·vK(t0).
-        let dc_rhs = |has_dc: bool| -> Vec<f64> {
-            if !has_dc {
-                return vec![0.0; nf];
+        let dc_state = |vk: &[f64]| -> Result<Vec<f64>, CircuitError> {
+            let mut rhs = vec![0.0; nf];
+            if self.opts.zero_initial_state {
+                return Ok(rhs);
             }
-            let mut rhs = if inj.is_empty() {
-                vec![0.0; nf]
-            } else {
-                inj[..nf].to_vec()
-            };
-            for r in 0..nf {
-                let gr = &self.g_uk.row(r)[..nd];
-                for (k, g) in gr.iter().enumerate() {
-                    rhs[r] -= g * vk[k];
+            for (j, &r) in src.rows.iter().enumerate() {
+                let mut acc = if inj.is_empty() { 0.0 } else { inj[j] };
+                for (g, v) in src.g[j * nd..(j + 1) * nd].iter().zip(vk) {
+                    acc -= g * v;
                 }
+                rhs[r] = acc;
             }
-            rhs
+            Ok(match &self.factors {
+                StepFactors::Dense {
+                    dc_lu: Some(dc), ..
+                } => dc.solve(&rhs)?,
+                StepFactors::Sparse {
+                    dc_lu: Some(dc), ..
+                } => dc.solve(&rhs)?,
+                _ => rhs,
+            })
         };
-        let mut x = match &self.factors {
-            StepFactors::Dense {
-                dc_lu: Some(dc), ..
-            } => dc.solve(&dc_rhs(true))?,
-            StepFactors::Sparse {
-                dc_lu: Some(dc), ..
-            } => dc.solve(&dc_rhs(true))?,
-            _ => dc_rhs(false),
-        };
-        // Fault-injection site: poison the initial-condition state with
-        // NaN, as a corrupted solve would. The NaN propagates through the
-        // trapezoidal step recurrence, so every recorded sample — and any
-        // waveform built from this sweep — turns non-finite. Inert (one
-        // relaxed load) unless a plan is armed.
-        if nsta_obs::fault::should_fire(nsta_obs::fault::NAN_SOLVE) {
-            x.fill(f64::NAN);
+        let mut x0: [Vec<f64>; K] = std::array::from_fn(|_| Vec::new());
+        for c in 0..K {
+            x0[c] = dc_state(&vk[c][..nd])?;
+        }
+        // Fault-injection site, one poll per column in column order:
+        // poison the initial-condition state with NaN, as a corrupted
+        // solve would. The NaN propagates through the trapezoidal step
+        // recurrence, so every recorded sample of that column turns
+        // non-finite. Later columns are not polled once one fires (see
+        // the module docs). Inert (one relaxed load per column) unless a
+        // plan is armed.
+        for x in &mut x0 {
+            if nsta_obs::fault::should_fire(nsta_obs::fault::NAN_SOLVE) {
+                x.fill(f64::NAN);
+                break;
+            }
         }
 
-        // Source contributions of every step, tabulated up front so the
-        // step loop reads one contiguous row instead of slicing the
-        // coupler matrices per unknown per step:
-        //   src[ti][r] = −C_UK Δvk − h G_UK v̄k + h (inj_n + inj_{n+1})/2.
-        let mut src = vec![0.0; nt * nf];
+        // Source terms on the source rows, tabulated up front for every
+        // column (interleaved) so the step loop reads one contiguous row:
+        //   src[ti][j] = −C_UK Δvk − h G_UK v̄k + h (inj_n + inj_{n+1})/2.
+        let mut table = vec![[0.0; K]; nt * ns];
         for ti in 1..nt {
-            let vk_prev = &vk[(ti - 1) * nd..ti * nd];
-            let vk_now = &vk[ti * nd..(ti + 1) * nd];
-            let row = &mut src[ti * nf..(ti + 1) * nf];
-            for r in 0..nf {
-                let gr = &self.g_uk.row(r)[..nd];
-                let cr = &self.c_uk.row(r)[..nd];
-                let mut acc = 0.0;
-                for k in 0..nd {
-                    let dv = vk_now[k] - vk_prev[k];
-                    let vbar = 0.5 * (vk_now[k] + vk_prev[k]);
-                    acc -= cr[k] * dv + h * gr[k] * vbar;
-                }
-                row[r] = acc;
-            }
-            if !inj.is_empty() {
-                let inj_prev = &inj[(ti - 1) * nf..ti * nf];
-                let inj_now = &inj[ti * nf..(ti + 1) * nf];
-                for r in 0..nf {
-                    row[r] += h * 0.5 * (inj_now[r] + inj_prev[r]);
+            let row = &mut table[ti * ns..(ti + 1) * ns];
+            for (j, cell) in row.iter_mut().enumerate() {
+                let gr = &src.g[j * nd..(j + 1) * nd];
+                let cr = &src.c[j * nd..(j + 1) * nd];
+                for (c, vk) in vk.iter().enumerate() {
+                    let vk_prev = &vk[(ti - 1) * nd..ti * nd];
+                    let vk_now = &vk[ti * nd..(ti + 1) * nd];
+                    let mut acc = 0.0;
+                    for k in 0..nd {
+                        let dv = vk_now[k] - vk_prev[k];
+                        let vbar = 0.5 * (vk_now[k] + vk_prev[k]);
+                        acc -= cr[k] * dv + h * gr[k] * vbar;
+                    }
+                    if !inj.is_empty() {
+                        acc += h * 0.5 * (inj[ti * ns + j] + inj[(ti - 1) * ns + j]);
+                    }
+                    cell[c] = acc;
                 }
             }
         }
 
-        record(&x, &vk[..nd]);
-
-        let mut x_next = vec![0.0; nf];
+        let mut out: [Vec<f64>; K] = std::array::from_fn(|_| Vec::with_capacity(slots.len() * nt));
         match &self.factors {
             // Dense: the right-hand side is assembled row by row anyway,
-            // so write it directly in the LU's permuted row order and skip
-            // the permutation copy inside the solve.
+            // so write it directly in the LU's pivoted row order and skip
+            // the permutation copy inside the solve. The O(nf²) step
+            // dwarfs scattering the source rows into a full-length row,
+            // which keeps the single-column expression as it was. The
+            // escape hatch steps its columns one after another.
             StepFactors::Dense {
                 rhs_mat, lhs_lu, ..
             } => {
                 let perm = lhs_lu.perm();
-                for ti in 1..nt {
-                    let s_row = &src[ti * nf..(ti + 1) * nf];
-                    for (i, &r) in perm.iter().enumerate() {
-                        // rhs = (C − hG/2)·x_n + src, off the precomputed matrices.
-                        x_next[i] = nsta_numeric::dot(rhs_mat.row(r), &x) + s_row[r];
+                let mut s_row = vec![0.0; nf];
+                for (c, (mut x, out)) in x0.into_iter().zip(&mut out).enumerate() {
+                    let mut x_next = vec![0.0; nf];
+                    record(out, slots, &vk[c][..nd], |i| x[i]);
+                    for ti in 1..nt {
+                        for (&r, s) in src.rows.iter().zip(&table[ti * ns..(ti + 1) * ns]) {
+                            s_row[r] = s[c];
+                        }
+                        for (i, &r) in perm.iter().enumerate() {
+                            // rhs = (C − hG/2)·x_n + src, off the precomputed matrices.
+                            x_next[i] = nsta_numeric::dot(rhs_mat.row(r), &x) + s_row[r];
+                        }
+                        lhs_lu.solve_prepermuted_in_place(&mut x_next)?;
+                        std::mem::swap(&mut x, &mut x_next);
+                        record(out, slots, &vk[c][ti * nd..(ti + 1) * nd], |i| x[i]);
                     }
-                    lhs_lu.solve_prepermuted_in_place(&mut x_next)?;
-                    std::mem::swap(&mut x, &mut x_next);
-                    record(&x, &vk[ti * nd..(ti + 1) * nd]);
                 }
             }
             // Sparse: CSR mat-vec touches only stored entries and the
             // no-pivot factors eliminate in natural order, so the step is
-            // O(nnz) with no permutation copy at all.
+            // O(nnz) with no permutation copy, and all K columns share one
+            // walk of the index arrays.
             StepFactors::Sparse {
                 rhs_mat, lhs_lu, ..
             } => {
+                let mut x: Vec<[f64; K]> =
+                    (0..nf).map(|i| std::array::from_fn(|c| x0[c][i])).collect();
+                let mut x_next = vec![[0.0; K]; nf];
+                for (c, out) in out.iter_mut().enumerate() {
+                    record(out, slots, &vk[c][..nd], |i| x[i][c]);
+                }
                 for ti in 1..nt {
-                    let s_row = &src[ti * nf..(ti + 1) * nf];
-                    rhs_mat.mul_vec_into(&x, &mut x_next)?;
-                    for (xi, s) in x_next.iter_mut().zip(s_row) {
-                        *xi += s;
+                    rhs_mat.mul_vec_cols(&x, &mut x_next);
+                    for (&r, s) in src.rows.iter().zip(&table[ti * ns..(ti + 1) * ns]) {
+                        for c in 0..K {
+                            x_next[r][c] += s[c];
+                        }
                     }
-                    lhs_lu.solve_in_place(&mut x_next)?;
+                    lhs_lu.solve_cols_in_place(&mut x_next);
                     std::mem::swap(&mut x, &mut x_next);
-                    record(&x, &vk[ti * nd..(ti + 1) * nd]);
+                    for (c, out) in out.iter_mut().enumerate() {
+                        record(out, slots, &vk[c][ti * nd..(ti + 1) * nd], |i| x[i][c]);
+                    }
                 }
             }
         }
-        Ok(())
+        Ok(out)
     }
 }
+
+/// Appends one time point of `slots` to a column's record: free slots
+/// read the state through `free`, driven slots the source row `vk_row`.
+fn record(out: &mut Vec<f64>, slots: &[Slot], vk_row: &[f64], free: impl Fn(usize) -> f64) {
+    out.extend(slots.iter().map(|slot| match *slot {
+        Slot::Free(i) => free(i),
+        Slot::Driven(k) => vk_row[k],
+    }));
+}
+
+#[cfg(test)]
+mod pair_parity;
 
 #[cfg(test)]
 mod tests {

@@ -12,11 +12,13 @@
 //!    of the squared output error (Eq. 3):
 //!    `Σ [ρ_k·r_k + ½·(∂ρ/∂v)_k·r_k²]²` with `r_k = v_noisy(t_k) − Γ(t_k)`.
 //!
-//! The minimization strategy is configurable via [`FitMode`]; the paper's
-//! reported runtime (≈ WLS5's) implies a closed-form weighted solve with at
-//! most light refinement, which [`FitMode::Taylor2`] (default) implements as
-//! iteratively reweighted least squares. A damped Gauss–Newton variant is
-//! provided for the ablation benches.
+//! The minimization strategy is configurable via [`FitMode`]. The default,
+//! [`FitMode::Weighted`], keeps the first Taylor term only and solves it in
+//! closed form as `ρeff²`-weighted least squares — consistent with the
+//! paper's reported runtime (≈ WLS5's). [`FitMode::Taylor2`] adds the
+//! second term by iteratively reweighted least squares, and a damped
+//! Gauss–Newton variant is provided for the ablation benches; on the
+//! Table-1 sweep neither has beaten the default's average error.
 //!
 //! For gates whose input/output transitions do not overlap (multi-stage
 //! cells, heavy fanout) the sensitivity is extracted after shifting the
@@ -31,8 +33,12 @@
 //! accepted only if its mid-crossing lies within that span (± half the
 //! noiseless slew); otherwise the slope is re-fit from the samples around
 //! the **latest** mid-rail crossing and anchored there, the same anchoring
-//! convention P1/P2/E4 use. This guard is an engineering robustness
-//! addition documented in `EXPERIMENTS.md`.
+//! convention P1/P2/E4 use. The guard is an engineering robustness
+//! addition, not part of the paper: without it such a case yields a Γeff
+//! whose arrival says nothing about the waveform, while with it the case
+//! degrades to the crossing-anchored fit the simpler methods use, and
+//! waveforms that cross mid-rail within the span are fitted exactly as
+//! the paper prescribes.
 
 use crate::context::PropagationContext;
 use crate::sensitivity::{effective_sensitivity, ShiftPolicy};

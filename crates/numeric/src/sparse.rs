@@ -14,6 +14,12 @@
 //!   per stored entry. Mat-vec ([`CsrMatrix::mul_vec_into`]) touches only
 //!   stored entries, so a step over an RC mesh costs O(nnz), not O(n²).
 //!
+//! Mat-vec and the LU solve also come in a `K`-column form
+//! ([`CsrMatrix::mul_vec_cols`], [`SparseLu::solve_cols_in_place`]) that
+//! steps several interleaved right-hand sides through one walk of the
+//! index arrays. Each column keeps the single-column operation order, so
+//! its result is bit-identical to the single-column kernel's.
+//!
 //! # Ordering and pivoting assumptions
 //!
 //! [`SparseLu`] eliminates **without pivoting**, in a fill-reducing
@@ -256,15 +262,42 @@ impl CsrMatrix {
                 expected: self.rows,
             });
         }
-        for r in 0..self.rows {
-            let (cols, vals) = self.row(r);
-            let mut acc = 0.0;
-            for (&c, &v) in cols.iter().zip(vals) {
-                acc += v * x[c];
-            }
-            y[r] = acc;
-        }
+        self.mul_vec_cols::<1>(x.as_chunks().0, y.as_chunks_mut().0);
         Ok(())
+    }
+
+    /// `Y = A·X` for `K` column vectors stored interleaved (`x[i][c]` is
+    /// entry `i` of column `c`), in one walk of the stored entries.
+    ///
+    /// Each column is accumulated in exactly the order of a single-column
+    /// product, so column `c` of `y` is bit-identical to
+    /// [`CsrMatrix::mul_vec_into`] on column `c` of `x`; the columns only
+    /// share the index and value loads. Shape checks are the caller's,
+    /// done once when its buffers are sized.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x.len() == cols` and `y.len() == rows`.
+    pub fn mul_vec_cols<const K: usize>(&self, x: &[[f64; K]], y: &mut [[f64; K]]) {
+        assert!(
+            x.len() == self.cols && y.len() == self.rows,
+            "mul_vec_cols: {}x{} matrix against {} inputs and {} outputs",
+            self.rows,
+            self.cols,
+            x.len(),
+            y.len()
+        );
+        for (r, yr) in y.iter_mut().enumerate() {
+            let (cols, vals) = self.row(r);
+            let mut acc = [0.0; K];
+            for (&c, &v) in cols.iter().zip(vals) {
+                let xc = &x[c];
+                for k in 0..K {
+                    acc[k] += v * xc[k];
+                }
+            }
+            *yr = acc;
+        }
     }
 
     /// Densifies — handy for the dense-backend escape hatch and for tests.
@@ -742,13 +775,39 @@ impl SparseLu {
                 expected: self.n,
             });
         }
+        self.solve_cols_in_place::<1>(x.as_chunks_mut().0);
+        Ok(())
+    }
+
+    /// Solves `A·X = B` in place for `K` right-hand sides stored
+    /// interleaved (`x[i][c]` is entry `i` of column `c`), in one walk of
+    /// the factor indices.
+    ///
+    /// Every column is eliminated in exactly the order of a
+    /// single-column solve, so column `c` is bit-identical to
+    /// [`SparseLu::solve_in_place`] on column `c` alone. Shape checks are
+    /// the caller's, done once when its buffers are sized.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.dim()`.
+    pub fn solve_cols_in_place<const K: usize>(&self, x: &mut [[f64; K]]) {
+        assert!(
+            x.len() == self.n,
+            "solve_cols_in_place: dimension {} against {} rows",
+            self.n,
+            x.len()
+        );
         // Forward substitution with unit-diagonal L, in elimination order.
         // `x[perm[i]]` plays the role of the permuted vector's slot `i`.
         for i in 0..self.n {
             let oi = self.perm[i];
             let mut acc = x[oi];
             for li in self.l_ptr[i]..self.l_ptr[i + 1] {
-                acc -= self.l_vals[li] * x[self.l_cols_orig[li]];
+                let (l, xc) = (self.l_vals[li], x[self.l_cols_orig[li]]);
+                for k in 0..K {
+                    acc[k] -= l * xc[k];
+                }
             }
             x[oi] = acc;
         }
@@ -757,11 +816,16 @@ impl SparseLu {
             let oi = self.perm[i];
             let mut acc = x[oi];
             for ui in self.u_ptr[i]..self.u_ptr[i + 1] {
-                acc -= self.u_vals[ui] * x[self.u_cols_orig[ui]];
+                let (u, xc) = (self.u_vals[ui], x[self.u_cols_orig[ui]]);
+                for k in 0..K {
+                    acc[k] -= u * xc[k];
+                }
             }
-            x[oi] = acc * self.inv_diag[i];
+            for k in 0..K {
+                acc[k] *= self.inv_diag[i];
+            }
+            x[oi] = acc;
         }
-        Ok(())
     }
 
     /// Solves `A·x = b` into a fresh vector.
@@ -918,6 +982,52 @@ mod tests {
                 assert!((bi - yi).abs() < 1e-9, "n={n} residual too large");
             }
         }
+    }
+
+    #[test]
+    fn column_kernels_match_single_column_bit_for_bit() {
+        // K interleaved columns through one walk must reproduce K separate
+        // single-column products and solves exactly, fill-in included.
+        let mut next = rng(0x5eed_c01d);
+        for n in [1usize, 3, 17, 40] {
+            let mut t = TripletMatrix::new(n, n);
+            for r in 0..n {
+                for c in 0..n {
+                    if r != c && next() > 0.1 {
+                        continue;
+                    }
+                    t.add(r, c, next());
+                }
+                t.add(r, r, 2.0 * n as f64);
+            }
+            let a = t.to_csr();
+            let lu = SparseLu::factor(&a).unwrap();
+            let cols: Vec<Vec<f64>> = (0..3).map(|_| (0..n).map(|_| next()).collect()).collect();
+            let x: Vec<[f64; 3]> = (0..n)
+                .map(|i| [cols[0][i], cols[1][i], cols[2][i]])
+                .collect();
+            let mut y = vec![[0.0; 3]; n];
+            a.mul_vec_cols(&x, &mut y);
+            let mut z = y.clone();
+            lu.solve_cols_in_place(&mut z);
+            for (c, col) in cols.iter().enumerate() {
+                let mut yc = vec![0.0; n];
+                a.mul_vec_into(col, &mut yc).unwrap();
+                let mut zc = yc.clone();
+                lu.solve_in_place(&mut zc).unwrap();
+                for i in 0..n {
+                    assert_eq!(y[i][c].to_bits(), yc[i].to_bits(), "n={n} product col {c}");
+                    assert_eq!(z[i][c].to_bits(), zc[i].to_bits(), "n={n} solve col {c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mul_vec_cols")]
+    fn column_mat_vec_rejects_short_buffers() {
+        let a = tridiagonal(4, 4.0, -1.0);
+        a.mul_vec_cols(&[[1.0; 2]; 3], &mut [[0.0; 2]; 4]);
     }
 
     #[test]

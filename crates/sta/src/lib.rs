@@ -80,10 +80,12 @@ pub use si::{
     PrunedAggressor, SiAdjustment, SiAnalysis, SiDiagnostics, SiIteration, SiOptions, TopoCache,
 };
 
-/// Serializes tests that enable the process-wide [`nsta_obs`] recorder:
-/// `si` and `par` tests share one test binary, and cargo runs them on
-/// concurrent threads, so toggling the global recorder without this lock
-/// would leak events between tests.
+/// Serializes tests that enable the process-wide [`nsta_obs`] recorder
+/// **and** every test that reaches `par_map`, directly or through an
+/// analysis: the lib tests share one binary and cargo runs them on
+/// concurrent threads, so a worker pool running while another test has
+/// the global recorder on would add its items to that test's exact
+/// counter assertions.
 #[cfg(test)]
 pub(crate) fn obs_test_guard() -> std::sync::MutexGuard<'static, ()> {
     static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());

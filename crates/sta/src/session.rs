@@ -392,6 +392,7 @@ mod tests {
 
     #[test]
     fn session_merge_splices_dirty_nets_and_refinishes() {
+        let _obs = crate::obs_test_guard();
         let sta = three_cones();
         let d = sta.design();
         let (v, g) = (d.find_net("v").unwrap(), d.find_net("g").unwrap());
@@ -419,6 +420,7 @@ mod tests {
 
     #[test]
     fn scoped_resolve_merges_bit_identically() {
+        let _obs = crate::obs_test_guard();
         let sta = three_cones();
         let d = sta.design();
         let (v, g) = (d.find_net("v").unwrap(), d.find_net("g").unwrap());

@@ -2451,8 +2451,9 @@ impl Sta {
 
     /// Runs the noiseless/noisy transient pair on a factored system and
     /// reduces the noisy waveform to `(Γeff, base arrival)`. Non-finite
-    /// node voltages — a poisoned solve — surface as a recoverable
-    /// numeric error rather than propagating NaN into the report.
+    /// node voltages — a poisoned solve — surface from the transient run
+    /// as a recoverable numeric error rather than propagating NaN into
+    /// the report.
     #[allow(clippy::too_many_arguments)]
     fn victim_reduce(
         &self,
@@ -2467,44 +2468,36 @@ impl Sta {
     ) -> Result<(SaturatedRamp, f64), StaError> {
         let th = Thresholds::cmos(self.library().voltage);
         let vdd = th.vdd();
-        let quiet_level = if agg_pol.is_rise() { 0.0 } else { vdd };
-        let quiet = Waveform::constant(quiet_level, 0.0, t_stop)?;
-        let mut quiet_sources: Vec<&Waveform> = Vec::with_capacity(1 + agg_waves.len());
-        quiet_sources.push(victim_wave);
-        quiet_sources.extend(agg_waves.iter().map(|_| &quiet));
-        let noiseless = entry
-            .system
-            .run_nodes(&quiet_sources, &[entry.victim_far])?
-            .pop()
-            .ok_or_else(|| {
-                StaError::Structure("transient solver returned no trace for victim node".into())
-            })?;
-        // With every aggressor pruned the "noisy" circuit is identical to
-        // the noiseless one: skip the second transient run.
-        let noisy = if agg_waves.is_empty() {
-            noiseless.clone()
+        let no_trace =
+            || StaError::Structure("transient solver returned no trace for victim node".into());
+        let victim_far = [entry.victim_far];
+        let (noiseless, noisy) = if agg_waves.is_empty() {
+            // With every aggressor pruned the "noisy" circuit is identical
+            // to the noiseless one: one run serves both.
+            let run = entry.system.run_nodes(&[victim_wave], &victim_far)?;
+            let noiseless = run.into_iter().next().ok_or_else(no_trace)?;
+            (noiseless.clone(), noiseless)
         } else {
+            // The pair differs only in the aggressor sources: quiet rails
+            // for the noiseless run, the switching ramps for the noisy one,
+            // stepped together through one fused sweep.
+            let quiet_level = if agg_pol.is_rise() { 0.0 } else { vdd };
+            let quiet = Waveform::constant(quiet_level, 0.0, t_stop)?;
+            let mut quiet_sources: Vec<&Waveform> = Vec::with_capacity(1 + agg_waves.len());
+            quiet_sources.push(victim_wave);
+            quiet_sources.extend(agg_waves.iter().map(|_| &quiet));
             let mut noisy_sources: Vec<&Waveform> = Vec::with_capacity(1 + agg_waves.len());
             noisy_sources.push(victim_wave);
             noisy_sources.extend(agg_waves.iter());
-            entry
-                .system
-                .run_nodes(&noisy_sources, &[entry.victim_far])?
-                .pop()
-                .ok_or_else(|| {
-                    StaError::Structure("transient solver returned no trace for victim node".into())
-                })?
+            let [noiseless, noisy] =
+                entry
+                    .system
+                    .run_node_pair(&quiet_sources, &noisy_sources, &victim_far)?;
+            (
+                noiseless?.into_iter().next().ok_or_else(no_trace)?,
+                noisy?.into_iter().next().ok_or_else(no_trace)?,
+            )
         };
-        // A solve that went non-finite (NaN/inf node voltages) must not
-        // leak into crossing searches and the report: classify it as a
-        // numeric failure so the fallback chain can retry it.
-        if noiseless.values().iter().any(|v| !v.is_finite())
-            || noisy.values().iter().any(|v| !v.is_finite())
-        {
-            return Err(StaError::Circuit(nsta_circuit::CircuitError::Numeric(
-                nsta_circuit::NumericError::NonFinite("transient node voltages"),
-            )));
-        }
         let base_arrival = noiseless.last_crossing_or_err(th.mid())?;
 
         // Noiseless receiver response through the library tables (the
@@ -2633,6 +2626,7 @@ mod tests {
 
     #[test]
     fn crosstalk_pushes_victim_arrival_out() {
+        let _obs = crate::obs_test_guard();
         let sta = Sta::new(coupled_design(), lib().clone()).unwrap();
         let c = Constraints::default();
         let nominal = sta.analyze(c).unwrap();
@@ -2655,6 +2649,7 @@ mod tests {
 
     #[test]
     fn aligned_aggressor_hurts_more_than_far_one() {
+        let _obs = crate::obs_test_guard();
         let sta = Sta::new(coupled_design(), lib().clone()).unwrap();
         let c = Constraints::default();
         let mut near = spec(&sta);
@@ -2673,6 +2668,7 @@ mod tests {
 
     #[test]
     fn methods_disagree_on_noisy_nets() {
+        let _obs = crate::obs_test_guard();
         let sta = Sta::new(coupled_design(), lib().clone()).unwrap();
         let c = Constraints::default();
         let mut results = Vec::new();
@@ -2734,6 +2730,7 @@ mod tests {
 
     #[test]
     fn window_filter_prunes_far_aggressor_and_keeps_pushout() {
+        let _obs = crate::obs_test_guard();
         let sta = Sta::new(windowed_design(), lib().clone()).unwrap();
         let c = Constraints::default();
         let nominal = sta.analyze(c).unwrap();
@@ -2770,6 +2767,7 @@ mod tests {
 
     #[test]
     fn dense_backend_matches_sparse_within_solver_roundoff() {
+        let _obs = crate::obs_test_guard();
         // Both backends integrate the identical trapezoidal system; only
         // storage and elimination order differ, so every victim arrival
         // must agree to solver round-off — the contract the spefbus
@@ -2813,6 +2811,7 @@ mod tests {
 
     #[test]
     fn window_filtered_delay_not_below_unfiltered() {
+        let _obs = crate::obs_test_guard();
         // Pruning only removes aggressors that cannot align, so the
         // filtered analysis must agree with the unfiltered one on this
         // design (where the far aggressor genuinely cannot overlap).
@@ -2857,6 +2856,7 @@ mod tests {
 
     #[test]
     fn skew_rescues_a_pruned_aggressor() {
+        let _obs = crate::obs_test_guard();
         let sta = Sta::new(windowed_design(), lib().clone()).unwrap();
         let c = Constraints::default();
         let clean = sta.analyze(c).unwrap();
@@ -2879,6 +2879,7 @@ mod tests {
 
     #[test]
     fn windows_from_min_and_max_sweeps_are_ordered() {
+        let _obs = crate::obs_test_guard();
         let sta = Sta::new(windowed_design(), lib().clone()).unwrap();
         let c = Constraints::default();
         let min_states = sta
@@ -2974,6 +2975,7 @@ mod tests {
 
     #[test]
     fn threaded_analysis_is_bit_identical_to_sequential() {
+        let _obs = crate::obs_test_guard();
         let groups = 3;
         let sta = Sta::new(multi_group_design(groups), lib().clone()).unwrap();
         let c = Constraints::default();
@@ -2999,6 +3001,7 @@ mod tests {
 
     #[test]
     fn topo_cache_is_bit_identical_to_uncached_across_threads() {
+        let _obs = crate::obs_test_guard();
         // The topology-keyed factorization cache shares LU factors across
         // victims, polarities and iterations; it must not change a single
         // bit of any result — at 1 thread and on the worker pool.
@@ -3064,6 +3067,7 @@ mod tests {
 
     #[test]
     fn single_cone_design_falls_back_to_level_scheduling_bit_identically() {
+        let _obs = crate::obs_test_guard();
         // With one cone and threads > 1 the pass must fall back to
         // level-synchronous scheduling (cone tasks would serialize) and
         // still reproduce the 1-thread (cone-scheduled) result bit for
@@ -3141,6 +3145,7 @@ mod tests {
 
     #[test]
     fn incremental_fixed_point_matches_full_recompute() {
+        let _obs = crate::obs_test_guard();
         let groups = 3;
         let sta = Sta::new(multi_group_design(groups), lib().clone()).unwrap();
         let c = Constraints::default();
@@ -3168,6 +3173,7 @@ mod tests {
 
     #[test]
     fn per_pin_output_load_reaches_the_receiver_reduction() {
+        let _obs = crate::obs_test_guard();
         // The SGDP reduction models the victim's receiver through the
         // library tables; its output load must honor a per-pin override
         // on the net that receiver drives (regression: it used to read
@@ -3211,6 +3217,7 @@ mod tests {
 
     #[test]
     fn unknown_aggressor_is_reported() {
+        let _obs = crate::obs_test_guard();
         let sta = Sta::new(coupled_design(), lib().clone()).unwrap();
         let c = Constraints::default();
         let mut s = spec(&sta);
@@ -3220,6 +3227,7 @@ mod tests {
 
     #[test]
     fn duplicate_victim_specs_rejected() {
+        let _obs = crate::obs_test_guard();
         // Only one spec per victim can apply; a silent first-wins pick
         // would drop the second spec's aggressors.
         let sta = Sta::new(coupled_design(), lib().clone()).unwrap();

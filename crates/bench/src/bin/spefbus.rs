@@ -87,8 +87,8 @@
 //! asserting the capped run is bit-identical to an unbounded-cache run).
 //! `--deadline-ms N` repeats the windowed analysis under a wall-clock
 //! deadline with cooperative cancellation: on expiry the current iteration
-//! finishes, remaining cones are skipped, and the partial result is marked
-//! `timed_out` with per-net staleness. A generous deadline must complete
+//! finishes, remaining work units are skipped, and the partial result is
+//! marked `timed_out` with per-net staleness. A generous deadline must complete
 //! and be bit-identical to the production run (parity-gated); an expired
 //! one is reported as degraded operation, not a failure — unless
 //! `--strict-deadline` promotes it to exit code 5. The `memory` and

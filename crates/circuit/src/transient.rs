@@ -629,8 +629,9 @@ impl FactoredSystem {
     /// pair of a crosstalk victim in one pass over the factors.
     ///
     /// Each column's traces are bit-identical to
-    /// [`FactoredSystem::run_nodes`] with the same sources (see the
-    /// [module docs](self)), and each column fails on its own: a column
+    /// [`FactoredSystem::run_nodes`] with the same sources (every column
+    /// steps the same operation sequence through the shared factors), and
+    /// each column fails on its own: a column
     /// whose traces are not finite is an `Err` next to a sound one. The
     /// columns poll the NaN-solve fault site in order, `first` then
     /// `second`.

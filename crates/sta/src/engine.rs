@@ -6,6 +6,7 @@ use crate::netlist::{Design, NetId};
 use crate::report::{NetTiming, PathPoint, PointTiming, TimingReport};
 use crate::StaError;
 use nsta_liberty::{Library, NldmTable, TimingSense};
+use nsta_obs::Deadline;
 use nsta_waveform::Polarity;
 
 /// Uniform analysis constraints: one arrival/slew/required/load applied to
@@ -213,10 +214,10 @@ impl Sta {
     /// updated concurrently; the arithmetic is a fixed per-net operation
     /// sequence, making the outcome independent of which thread runs it.
     ///
-    /// The state accessor (by net id) is a closure so cone-partitioned
-    /// sweeps can serve reads from a compact per-cone buffer instead of a
-    /// full-design state vector — the fold performs the identical
-    /// operation sequence regardless of the accessor.
+    /// The state accessor (by net id) is a closure so a work unit can
+    /// serve its own nets from its local buffer (see [`Sta::sweep_unit`])
+    /// — the fold performs the identical operation sequence regardless of
+    /// the accessor.
     pub(crate) fn propagate_net_with(
         &self,
         net: NetId,
@@ -252,122 +253,110 @@ impl Sta {
         Ok(state)
     }
 
-    /// The nominal (latest-arrival, single-thread) forward sweep.
-    pub(crate) fn forward_sweep(&self, bc: &BoundaryConditions) -> Result<Vec<NetState>, StaError> {
-        self.forward_sweep_partitioned(bc, false, 1)
+    /// The work units of one sweep over the cones `scope` selects (a
+    /// per-cone mask indexed like [`TimingGraph::components`]; `None`
+    /// selects every cone), in waves that run one after another. A unit
+    /// is a slice of one cone's nets, swept in order; the units of one
+    /// wave never read each other's nets, so they run concurrently.
+    ///
+    /// * At least as many in-scope cones as workers: one wave of whole
+    ///   cones. No level barrier exists, so a long chain in one cone never
+    ///   waits for another cone's widest level.
+    /// * Fewer (e.g. one fully connected component): one wave per
+    ///   [`TimingGraph::levels`] level, each in-scope net its own unit, so
+    ///   intra-level parallelism is not lost.
+    ///
+    /// Either way every fanin of a unit's net comes earlier in the same
+    /// unit or sits in an earlier wave.
+    pub(crate) fn sweep_waves(&self, threads: usize, scope: Option<&[bool]>) -> Vec<Vec<&[NetId]>> {
+        let cones: Vec<&[NetId]> = self
+            .graph
+            .components()
+            .iter()
+            .enumerate()
+            .filter(|&(ci, _)| scope.is_none_or(|s| s.get(ci).copied().unwrap_or(false)))
+            .map(|(_, cone)| cone.as_slice())
+            .collect();
+        if cones.len() >= threads.max(1) {
+            return vec![cones];
+        }
+        let mut swept = vec![false; self.design.net_count()];
+        for &net in cones.iter().copied().flatten() {
+            swept[net.0] = true;
+        }
+        self.graph
+            .levels()
+            .iter()
+            .map(|level| {
+                level
+                    .iter()
+                    .filter(|net| swept[net.0])
+                    .map(std::slice::from_ref)
+                    .collect::<Vec<_>>()
+            })
+            .filter(|wave| !wave.is_empty())
+            .collect()
     }
 
-    /// Cone-partitioned forward sweep on a scoped worker pool: each
-    /// weakly-connected component of the graph is one task, swept
-    /// sequentially in topological order; tasks are merged back in the
-    /// fixed cone order. One pool serves the whole sweep (no per-level
-    /// barrier or re-spawn), and a long chain in one cone never waits for
-    /// another cone's widest level. A graph with fewer cones than workers
-    /// (e.g. one fully connected component) falls back to
-    /// level-synchronous scheduling so intra-level parallelism is not
-    /// lost. This is the only sweep loop — every caller (nominal, min,
-    /// threaded) goes through it, and each net's fanin fold is a fixed
-    /// operation sequence merged at a fixed position, so the result is
-    /// bit-identical for every `threads` value (including 1) and for both
-    /// schedules.
-    pub(crate) fn forward_sweep_partitioned(
+    /// Sweeps one work unit of [`Sta::sweep_waves`] in order and returns
+    /// its nets' final states. The read rule: the unit's own nets come
+    /// from its local buffer, every other net from `states`, the merged
+    /// result of earlier waves. `adjust` may rewrite each net's freshly
+    /// propagated state before later nets of the unit read it.
+    pub(crate) fn sweep_unit(
         &self,
+        unit: &[NetId],
+        states: &[NetState],
         bc: &BoundaryConditions,
         minimize: bool,
-        threads: usize,
+        mut adjust: impl FnMut(NetId, &mut NetState) -> Result<(), StaError>,
     ) -> Result<Vec<NetState>, StaError> {
-        let components = self.graph.components();
-        let mut sweep_span = nsta_obs::span!("sta.forward_sweep");
-        sweep_span.set_arg("minimize", minimize as u8 as f64);
-        sweep_span.set_arg("threads", threads.max(1) as f64);
-        sweep_span.set_arg("cones", components.len() as f64);
-        if components.len() < threads.max(1) {
-            let mut states = self.init_states(bc, minimize);
-            for level in self.graph.levels() {
-                let updated = crate::par::par_map(threads, level, |&net| {
-                    self.propagate_net_with(net, |i| states[i], bc, minimize)
-                });
-                for (&net, result) in level.iter().zip(updated) {
-                    states[net.0] = result?;
+        // A unit is a contiguous run of its cone's nets, so a net's
+        // position in it is its cone slot minus the first net's.
+        let start = unit.first().map_or(0, |&net| self.graph.cone_slot(net));
+        let mut local: Vec<NetState> = unit.iter().map(|&net| states[net.0]).collect();
+        for (j, &net) in unit.iter().enumerate() {
+            let read = |i: usize| {
+                let k = self.graph.cone_slot(NetId(i)).wrapping_sub(start);
+                match unit.get(k) {
+                    Some(&own) if own.0 == i => local[k],
+                    _ => states[i],
                 }
-            }
-            return Ok(states);
+            };
+            let mut state = self.propagate_net_with(net, read, bc, minimize)?;
+            adjust(net, &mut state)?;
+            local[j] = state;
         }
-        let seed = self.init_states(bc, minimize);
-        let outcomes = crate::par::par_map(threads, components, |cone| {
-            let mut cone_span = nsta_obs::span!("sta.sweep_cone");
-            cone_span.set_arg("nets", cone.len() as f64);
-            let mut local: Vec<NetState> = cone.iter().map(|&net| seed[net.0]).collect();
-            for (j, &net) in cone.iter().enumerate() {
-                let updated = self.propagate_net_with(
-                    net,
-                    |i| local[self.graph.cone_slot(NetId(i))],
-                    bc,
-                    minimize,
-                )?;
-                local[j] = updated;
-            }
-            Ok::<_, StaError>(local)
-        });
-        let mut states = seed;
-        for (cone, outcome) in components.iter().zip(outcomes) {
-            for (&net, st) in cone.iter().zip(outcome?) {
-                states[net.0] = st;
-            }
-        }
-        Ok(states)
+        Ok(local)
     }
 
-    /// [`Sta::forward_sweep_partitioned`] restricted to a subset of cones:
-    /// `scope` is a per-cone mask indexed like
-    /// [`crate::TimingGraph::components`]; unscoped cones keep their
-    /// [`Sta::init_states`] seed and are never propagated. `None` means
-    /// every cone (the plain partitioned sweep). Within the scope the
-    /// per-net fold is the same fixed operation sequence as the full
-    /// sweep, so scoped states are bit-identical to the full sweep's for
-    /// every net inside a scoped cone — the contract the session layer's
-    /// dirty-cluster re-solve relies on (it discards everything else).
-    pub(crate) fn forward_sweep_scoped(
+    /// The forward sweep over the cones `scope` selects (`None`: every
+    /// cone), latest arrivals or — with `minimize` — earliest ones, on
+    /// `threads` workers. Out-of-scope nets keep their
+    /// [`Sta::init_states`] seed. Each net's fanin fold is a fixed
+    /// operation sequence merged at a fixed position, so the states are
+    /// bit-identical for every `threads` value and schedule, and a scoped
+    /// sweep matches the full one on every in-scope net — the contract
+    /// the session layer's dirty-cluster re-solve relies on.
+    pub(crate) fn forward_sweep(
         &self,
         bc: &BoundaryConditions,
         minimize: bool,
         threads: usize,
         scope: Option<&[bool]>,
     ) -> Result<Vec<NetState>, StaError> {
-        let Some(scope) = scope else {
-            return self.forward_sweep_partitioned(bc, minimize, threads);
-        };
-        let components = self.graph.components();
+        let waves = self.sweep_waves(threads, scope);
         let mut sweep_span = nsta_obs::span!("sta.forward_sweep");
         sweep_span.set_arg("minimize", minimize as u8 as f64);
         sweep_span.set_arg("threads", threads.max(1) as f64);
-        let active: Vec<usize> = (0..components.len())
-            .filter(|&i| scope.get(i).copied().unwrap_or(false))
-            .collect();
-        sweep_span.set_arg("cones", active.len() as f64);
-        let seed = self.init_states(bc, minimize);
-        let outcomes = crate::par::par_map(threads, &active, |&ci| {
-            let cone = &components[ci];
-            let mut cone_span = nsta_obs::span!("sta.sweep_cone");
-            cone_span.set_arg("nets", cone.len() as f64);
-            let mut local: Vec<NetState> = cone.iter().map(|&net| seed[net.0]).collect();
-            for (j, &net) in cone.iter().enumerate() {
-                let updated = self.propagate_net_with(
-                    net,
-                    |i| local[self.graph.cone_slot(NetId(i))],
-                    bc,
-                    minimize,
-                )?;
-                local[j] = updated;
-            }
-            Ok::<_, StaError>(local)
-        });
-        let mut states = seed;
-        for (&ci, outcome) in active.iter().zip(outcomes) {
-            for (&net, st) in components[ci].iter().zip(outcome?) {
-                states[net.0] = st;
-            }
-        }
+        sweep_span.set_arg("waves", waves.len() as f64);
+        let mut states = self.init_states(bc, minimize);
+        run_waves(&waves, &mut states, threads, None, |unit, merged| {
+            let mut unit_span = nsta_obs::span!("sta.sweep_cone");
+            unit_span.set_arg("nets", unit.len() as f64);
+            let local = self.sweep_unit(unit, merged, bc, minimize, |_, _| Ok(()))?;
+            Ok((local, ()))
+        })?;
         Ok(states)
     }
 
@@ -385,9 +374,9 @@ impl Sta {
         constraints: impl Into<BoundaryConditions>,
     ) -> Result<TimingReport, StaError> {
         let bc = constraints.into();
-        let states = self.forward_sweep(&bc)?;
+        let states = self.forward_sweep(&bc, false, 1, None)?;
         let mask = self.false_edge_mask(&bc);
-        self.finish_report(&bc, states, mask.as_ref())
+        self.finish_report(&bc, states, mask.as_ref(), None)
     }
 
     /// Runs the earliest-arrival analysis: the forward sweep minimizes
@@ -407,9 +396,9 @@ impl Sta {
         constraints: impl Into<BoundaryConditions>,
     ) -> Result<TimingReport, StaError> {
         let bc = constraints.into();
-        let states = self.forward_sweep_partitioned(&bc, true, 1)?;
+        let states = self.forward_sweep(&bc, true, 1, None)?;
         let mask = self.false_edge_mask(&bc);
-        self.finish_report(&bc, states, mask.as_ref())
+        self.finish_report(&bc, states, mask.as_ref(), None)
     }
 
     /// Builds the false-path exemption mask for this graph, or `None` when
@@ -515,25 +504,17 @@ impl Sta {
     /// (compute it once per analysis with [`Sta::false_edge_mask`] — it is
     /// iteration-invariant, so fixed-point callers must not rebuild it per
     /// iteration).
+    ///
+    /// `scope` optionally restricts the report to a per-net mask: required
+    /// times are only seeded/propagated and rows only filled for nets with
+    /// `scope[net]` (others get empty [`NetTiming`] rows, and the worst
+    /// point / critical path consider scoped nets only). The reverse
+    /// sweep's per-edge table lookups dominate the report cost, so a
+    /// session's per-edit fixed point scopes them to the dirty clusters —
+    /// sound because cones are weakly-connected components (no edge
+    /// crosses the scope boundary) and the patch report is discarded in
+    /// favor of the merged full one.
     pub(crate) fn finish_report(
-        &self,
-        bc: &BoundaryConditions,
-        states: Vec<NetState>,
-        mask: Option<&FalsePathMask>,
-    ) -> Result<TimingReport, StaError> {
-        self.finish_report_scoped(bc, states, mask, None)
-    }
-
-    /// [`Sta::finish_report`] restricted to a per-net scope mask: required
-    /// times are only seeded/propagated and report rows only filled for
-    /// nets with `scope[net]` (others get empty [`NetTiming`] rows, and
-    /// the worst point / critical path consider scoped nets only). The
-    /// reverse sweep's per-edge table lookups dominate the report cost,
-    /// so a session's per-edit fixed point scopes them to the dirty
-    /// clusters — sound because cones are weakly-connected components
-    /// (no edge crosses the scope boundary) and the patch report is
-    /// discarded in favor of the merged full one.
-    pub(crate) fn finish_report_scoped(
         &self,
         bc: &BoundaryConditions,
         states: Vec<NetState>,
@@ -732,6 +713,64 @@ impl Sta {
     }
 }
 
+/// One work unit as [`run_waves`] left it.
+pub(crate) struct UnitRun<'w, O> {
+    /// The unit's nets.
+    pub nets: &'w [NetId],
+    /// What the unit returned besides its states; `None` when the
+    /// deadline expired before the unit started, leaving its nets at the
+    /// states they had before the sweep.
+    pub outcome: Option<O>,
+    /// Whether the unit's worker panicked and the coordinator re-ran it
+    /// inline.
+    pub retried: bool,
+}
+
+/// The sweep scheduler: runs `unit` over every unit of `waves` (see
+/// [`Sta::sweep_waves`]), wave after wave, on a pool of `threads`
+/// workers. `unit` receives the merged `states` and returns its nets'
+/// final states plus an outcome; each wave's states are merged in unit
+/// order before the next wave starts. `deadline` is polled at unit
+/// boundaries (expired: un-started units are skipped). Returns every
+/// unit in wave order, or the first error in that order.
+pub(crate) fn run_waves<'w, O, F>(
+    waves: &[Vec<&'w [NetId]>],
+    states: &mut [NetState],
+    threads: usize,
+    deadline: Option<&Deadline>,
+    unit: F,
+) -> Result<Vec<UnitRun<'w, O>>, StaError>
+where
+    O: Send,
+    F: Fn(&'w [NetId], &[NetState]) -> Result<(Vec<NetState>, O), StaError> + Sync,
+{
+    let mut runs = Vec::with_capacity(waves.iter().map(Vec::len).sum());
+    for wave in waves {
+        let merged: &[NetState] = states;
+        let (slots, retried) =
+            crate::par::par_map_govern(threads, wave, deadline, |&nets| unit(nets, merged));
+        let mut retried = retried.into_iter().peekable();
+        for (k, (&nets, slot)) in wave.iter().zip(slots).enumerate() {
+            let outcome = match slot {
+                Some(done) => {
+                    let (local, outcome) = done?;
+                    for (&net, st) in nets.iter().zip(local) {
+                        states[net.0] = st;
+                    }
+                    Some(outcome)
+                }
+                None => None,
+            };
+            runs.push(UnitRun {
+                nets,
+                outcome,
+                retried: retried.next_if_eq(&k).is_some(),
+            });
+        }
+    }
+    Ok(runs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -772,6 +811,102 @@ mod tests {
         }
         src.push_str("endmodule");
         parse_design(&src).unwrap()
+    }
+
+    /// Three cones: a chain a→w1→w2→y1, a fanout b→w3→{y2, y3}, and a
+    /// single stage c→y4.
+    fn three_cone_design() -> Design {
+        parse_design(
+            "module m (a, b, c, y1, y2, y3, y4); input a, b, c;\
+             output y1, y2, y3, y4; wire w1, w2, w3;\
+             INVX1 u1 (.A(a), .Y(w1)); INVX1 u2 (.A(w1), .Y(w2));\
+             INVX1 u3 (.A(w2), .Y(y1)); INVX1 u4 (.A(b), .Y(w3));\
+             INVX2 u5 (.A(w3), .Y(y2)); INVX2 u6 (.A(w3), .Y(y3));\
+             INVX1 u7 (.A(c), .Y(y4)); endmodule",
+        )
+        .unwrap()
+    }
+
+    /// Checks the work-unit contract of `sweep_waves(threads, scope)` and
+    /// returns the number of waves: every in-scope net is swept exactly
+    /// once, no other net is, every unit is a contiguous run of its cone,
+    /// and every fanin of a unit's net comes earlier in the same unit or
+    /// sits in an earlier wave.
+    fn check_waves(sta: &Sta, threads: usize, scope: Option<&[bool]>) -> usize {
+        let graph = sta.graph();
+        let n = sta.design().net_count();
+        let mut in_scope = vec![false; n];
+        for (ci, cone) in graph.components().iter().enumerate() {
+            if scope.is_none_or(|s| s[ci]) {
+                for &net in cone {
+                    in_scope[net.0] = true;
+                }
+            }
+        }
+        let waves = sta.sweep_waves(threads, scope);
+        let mut placed: Vec<Option<(usize, usize, usize)>> = vec![None; n];
+        for (w, wave) in waves.iter().enumerate() {
+            assert!(!wave.is_empty(), "wave {w} is empty");
+            for (u, unit) in wave.iter().enumerate() {
+                let start = graph.cone_slot(unit[0]);
+                for (p, &net) in unit.iter().enumerate() {
+                    assert!(placed[net.0].is_none(), "{net:?} is swept twice");
+                    assert_eq!(graph.cone_slot(net), start + p, "unit is not contiguous");
+                    placed[net.0] = Some((w, u, p));
+                }
+            }
+        }
+        for i in 0..n {
+            assert_eq!(placed[i].is_some(), in_scope[i], "net {i} coverage");
+            let Some((w, u, p)) = placed[i] else { continue };
+            for &k in graph.fanin_edges(NetId(i)) {
+                let from = graph.edges()[k].from;
+                let (fw, fu, fp) = placed[from.0].expect("fanin of a swept net is swept");
+                assert!(
+                    fw < w || (fw == w && fu == u && fp < p),
+                    "fanin {from:?} of net {i} is not swept before it"
+                );
+            }
+        }
+        waves.len()
+    }
+
+    #[test]
+    fn sweep_waves_cover_scope_once_in_dependency_order() {
+        let _obs = crate::obs_test_guard();
+        let sta = Sta::new(three_cone_design(), lib().clone()).unwrap();
+        assert_eq!(sta.graph().components().len(), 3);
+        let levels = sta.graph().levels().len();
+        let two = [true, false, true];
+        let none = [false; 3];
+        // All cones: as many cones as workers (or more) is one wave.
+        assert_eq!(check_waves(&sta, 1, None), 1);
+        assert_eq!(check_waves(&sta, 3, None), 1);
+        // Split: fewer cones than workers gives one wave per level.
+        assert_eq!(check_waves(&sta, 4, None), levels);
+        // Scoped: the two in-scope cones fill one wave up to two workers,
+        // and split beyond; an empty scope sweeps nothing.
+        assert_eq!(check_waves(&sta, 2, Some(&two)), 1);
+        assert!(check_waves(&sta, 3, Some(&two)) > 1);
+        assert_eq!(check_waves(&sta, 1, Some(&none)), 0);
+        // Every schedule computes the same states on every swept net.
+        let bc = BoundaryConditions::from(&Constraints::default());
+        let bits = |st: &NetState| {
+            [st.rise, st.fall].map(|p| (p.valid, p.arrival.to_bits(), p.slew.to_bits(), p.pred))
+        };
+        for minimize in [false, true] {
+            let full = sta.forward_sweep(&bc, minimize, 1, None).unwrap();
+            for (threads, scope) in [(4, None), (2, Some(&two[..])), (3, Some(&two[..]))] {
+                let states = sta.forward_sweep(&bc, minimize, threads, scope).unwrap();
+                for (ci, cone) in sta.graph().components().iter().enumerate() {
+                    if scope.is_none_or(|s| s[ci]) {
+                        for &net in cone {
+                            assert_eq!(bits(&states[net.0]), bits(&full[net.0]));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub use si::{
 };
 
 /// Serializes tests that enable the process-wide [`nsta_obs`] recorder
-/// **and** every test that reaches `par_map`, directly or through an
+/// **and** every test that reaches the worker pool, directly or through an
 /// analysis: the lib tests share one binary and cargo runs them on
 /// concurrent threads, so a worker pool running while another test has
 /// the global recorder on would add its items to that test's exact

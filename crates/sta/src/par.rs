@@ -1,7 +1,7 @@
 //! A dependency-free scoped worker pool with deterministic merge.
 //!
-//! The crosstalk flow fans independent work items (per-victim transient
-//! reductions, per-net sweep updates) across `std::thread::scope` workers.
+//! Every sweep fans the independent work units of one wave (whole cones,
+//! or the nets of one level) across `std::thread::scope` workers.
 //! Workers pull indices from a shared atomic counter — dynamic load
 //! balancing without any work-stealing machinery — and tag every result
 //! with its input index, so the merged output vector is ordered exactly
@@ -23,14 +23,14 @@
 //!
 //! # Cooperative deadlines
 //!
-//! [`par_map_govern`] additionally polls an [`nsta_obs::Deadline`] at
+//! [`par_map_govern`] also polls an [`nsta_obs::Deadline`] at
 //! item boundaries: once it reads expired, workers stop pulling new
 //! items (in-flight items always finish) and every un-started item's
 //! slot comes back `None` so the caller can substitute stale fallback
 //! data and record exactly which items were skipped. A missing slot is
 //! classified after the join: deadline expired → skipped (left `None`);
 //! deadline still live → the item's worker panicked, so it is retried
-//! inline exactly like [`par_map_recover`] would.
+//! inline as described above.
 
 use nsta_obs::Deadline;
 use std::panic::{self, AssertUnwindSafe};
@@ -45,42 +45,15 @@ pub(crate) fn effective_workers(threads: usize, items: usize) -> usize {
 }
 
 /// Maps `f` over `items`, using up to `threads` scoped worker threads,
-/// returning results in input order.
+/// returning one slot per item in input order plus the indices of items
+/// that had to be retried inline after a worker-side panic (empty on
+/// every healthy run). `threads <= 1` (or a single item) runs inline with
+/// no thread overhead; the output is identical either way.
 ///
-/// `threads <= 1` (or a single item) runs inline with no thread overhead;
-/// the output is identical either way.
-pub(crate) fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_recover(threads, items, f).0
-}
-
-/// [`par_map`] variant that also reports which item indices had to be
-/// retried inline after a worker-side panic (empty on every healthy
-/// run). Callers that attribute faults to work items — the crosstalk
-/// cone scheduler — use the indices to record degrade events.
-pub(crate) fn par_map_recover<T, R, F>(threads: usize, items: &[T], f: F) -> (Vec<R>, Vec<usize>)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let (slots, retried) = par_map_govern(threads, items, None, f);
-    // Without a deadline no slot can be skipped: every missing result was
-    // either recovered by the inline retry or propagated its panic there.
-    let results = slots
-        .into_iter()
-        .map(|s| s.unwrap_or_else(|| panic!("scheduler bug: slot neither filled nor retried")))
-        .collect();
-    (results, retried)
-}
-
-/// Deadline-governed [`par_map_recover`]: item `i`'s slot is `None` iff
-/// the deadline expired before the pool could start (or retry) it. With
-/// `deadline: None` every slot is `Some` (panic recovery still applies).
+/// Item `i`'s slot is `None` iff `deadline` expired before the pool
+/// could start (or retry) it. With `deadline: None` every slot is `Some`:
+/// a missing result was either recovered by the inline retry or
+/// propagated its panic there.
 pub(crate) fn par_map_govern<T, R, F>(
     threads: usize,
     items: &[T],
@@ -218,13 +191,26 @@ where
 mod tests {
     use super::*;
 
+    /// [`par_map_govern`] without a deadline, its slots unwrapped.
+    fn map_all<T: Sync, R: Send>(
+        threads: usize,
+        items: &[T],
+        f: impl Fn(&T) -> R + Sync,
+    ) -> Vec<R> {
+        let (slots, _) = par_map_govern(threads, items, None, f);
+        slots
+            .into_iter()
+            .map(|s| s.expect("without a deadline every slot is filled"))
+            .collect()
+    }
+
     #[test]
     fn preserves_input_order_for_any_thread_count() {
         let _obs = crate::obs_test_guard();
         let items: Vec<usize> = (0..97).collect();
         let expect: Vec<usize> = items.iter().map(|i| i * i).collect();
         for threads in [0, 1, 2, 3, 8, 200] {
-            assert_eq!(par_map(threads, &items, |&i| i * i), expect);
+            assert_eq!(map_all(threads, &items, |&i| i * i), expect);
         }
     }
 
@@ -232,8 +218,8 @@ mod tests {
     fn empty_and_singleton_inputs() {
         let _obs = crate::obs_test_guard();
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map(4, &empty, |&x| x).is_empty());
-        assert_eq!(par_map(4, &[7u32], |&x| x + 1), vec![8]);
+        assert!(map_all(4, &empty, |&x| x).is_empty());
+        assert_eq!(map_all(4, &[7u32], |&x| x + 1), vec![8]);
     }
 
     #[test]
@@ -252,10 +238,10 @@ mod tests {
         // items < threads: the clamp leaves one worker per item; results
         // must still come back complete and in input order.
         let items = [10usize, 20, 30];
-        assert_eq!(par_map(64, &items, |&i| i + 1), vec![11, 21, 31]);
+        assert_eq!(map_all(64, &items, |&i| i + 1), vec![11, 21, 31]);
         // Two items, many threads — exercises the 2-worker path.
         let pair = [1u64, 2];
-        assert_eq!(par_map(200, &pair, |&i| i * 3), vec![3, 6]);
+        assert_eq!(map_all(200, &pair, |&i| i * 3), vec![3, 6]);
     }
 
     #[test]
@@ -268,7 +254,7 @@ mod tests {
         rec.reset();
         rec.enable();
         let items: Vec<u64> = (0..10_000).collect();
-        let out = par_map(4, &items, |&i| {
+        let out = map_all(4, &items, |&i| {
             nsta_obs::count!("par.test.bumps");
             i
         });
@@ -286,7 +272,7 @@ mod tests {
     fn results_can_be_fallible() {
         let _obs = crate::obs_test_guard();
         let items = [1i32, -2, 3];
-        let out: Vec<Result<i32, String>> = par_map(2, &items, |&i| {
+        let out: Vec<Result<i32, String>> = map_all(2, &items, |&i| {
             if i < 0 {
                 Err(format!("bad {i}"))
             } else {
@@ -307,13 +293,13 @@ mod tests {
         // ordered, and the retry is attributed to the right index.
         let tripped = AtomicBool::new(false);
         let items: Vec<usize> = (0..32).collect();
-        let (out, retried) = par_map_recover(4, &items, |&i| {
+        let (out, retried) = par_map_govern(4, &items, None, |&i| {
             if i == 5 && !tripped.swap(true, Ordering::SeqCst) {
                 panic!("transient worker failure");
             }
             i * 2
         });
-        let expect: Vec<usize> = items.iter().map(|i| i * 2).collect();
+        let expect: Vec<Option<usize>> = items.iter().map(|i| Some(i * 2)).collect();
         assert_eq!(out, expect);
         assert_eq!(retried, vec![5]);
     }
@@ -377,7 +363,7 @@ mod tests {
         // reproduces it on the coordinator.
         let items: Vec<usize> = (0..8).collect();
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-            par_map(4, &items, |&i| {
+            map_all(4, &items, |&i| {
                 if i == 3 {
                     panic!("deterministic failure");
                 }

@@ -450,4 +450,44 @@ mod tests {
         assert_eq!(merged.analysis.report, full.analysis.report);
         assert_eq!(merged.analysis.adjustments, full.analysis.adjustments);
     }
+
+    #[test]
+    fn scoped_pass_with_fewer_cones_than_threads_matches_one_thread() {
+        let _obs = crate::obs_test_guard();
+        // v's cluster spans two cones; at four workers the scoped pass
+        // splits into per-level units instead of whole cones, and must
+        // still reproduce the one-thread scoped pass bit for bit.
+        let sta = three_cones();
+        let d = sta.design();
+        let (v, g) = (d.find_net("v").unwrap(), d.find_net("g").unwrap());
+        let bc = BoundaryConditions::uniform(&crate::Constraints::default());
+        let specs = [spec(v, vec![g])];
+        let clusters = sta.cone_clusters(&specs);
+        let scope = clusters.cone_mask(&clusters.dirty_clusters(&[v]));
+        assert_eq!(scope.iter().filter(|&&s| s).count(), 2);
+        assert!(sta.sweep_waves(4, Some(&scope)).len() > 1, "must split");
+        let run = |threads: usize| {
+            let opts = SiOptions {
+                threads,
+                ..SiOptions::default()
+            };
+            let cache = TopoCache::new(true, usize::MAX);
+            sta.session_analyze(bc.clone(), &specs, &opts, &cache, Some(&scope))
+                .unwrap()
+        };
+        let (one, four) = (run(1), run(4));
+        assert_eq!(one.analysis.report, four.analysis.report);
+        assert_eq!(one.analysis.adjustments, four.analysis.adjustments);
+        assert_eq!(
+            one.analysis.diagnostics.iterations,
+            four.analysis.diagnostics.iterations
+        );
+        let bits = |st: &NetState| [st.rise, st.fall].map(|p| (p.valid, p.arrival.to_bits()));
+        assert!(one
+            .states
+            .iter()
+            .zip(&four.states)
+            .all(|(a, b)| bits(a) == bits(b)));
+        assert!(!one.analysis.adjustments.is_empty());
+    }
 }

@@ -12,27 +12,34 @@
 //! commercial tools: no extra library characterization, one extra waveform
 //! reduction per coupled stage.
 //!
-//! # Cone-partitioned scheduling and determinism
+//! # Work-unit scheduling and determinism
 //!
-//! The crosstalk sweep is partitioned by **fanout cone** — the
-//! weakly-connected components of the timing graph
-//! ([`TimingGraph::components`](crate::TimingGraph::components)). No edge
-//! crosses between two cones, and every aggressor ramp is taken from the
-//! iteration-invariant nominal sweep rather than from in-flight states, so
-//! whole cones are mutually independent: with [`SiOptions::threads`] ` > 1`
-//! each cone becomes one task on a `std::thread::scope` worker pool
-//! (workers pull cones from a shared counter — dynamic load balancing), and
-//! a long chain in one cone never waits on a level barrier for the widest
-//! level of another. Within a cone, nets are processed sequentially in
-//! topological order; results are merged back in the fixed cone order.
-//! A graph with fewer cones than workers (e.g. one fully connected
-//! component, where cone tasks would serialize) falls back to
-//! level-synchronous scheduling, keeping intra-level parallelism. Each
-//! work item performs a fixed sequence of floating-point operations that
-//! does not depend on which worker runs it or in what order items finish,
-//! and per-victim adjustments are emitted in canonical `(net, polarity)`
-//! order, so **N-thread results are bit-identical to 1-thread results**
-//! under either schedule.
+//! Every sweep — nominal, min and crosstalk — runs on one scheduler whose
+//! only schedule-dependent part is its list of **work units**. A unit is
+//! a slice of one **fanout cone** (a weakly-connected component of the
+//! timing graph, [`TimingGraph::components`](crate::TimingGraph::components)),
+//! swept in topological order; fanin updates and victim reductions
+//! interleave as each net is reached. Units come in waves that run one
+//! after another, and the units of one wave run concurrently on a
+//! `std::thread::scope` worker pool of [`SiOptions::threads`] workers
+//! (workers pull units from a shared counter — dynamic load balancing):
+//!
+//! * with at least as many in-scope cones as workers, one wave of whole
+//!   cones. No edge crosses between two cones and every aggressor ramp is
+//!   taken from the iteration-invariant nominal sweep, so whole cones are
+//!   independent, and a long chain in one cone never waits on a level
+//!   barrier for the widest level of another;
+//! * with fewer (e.g. one fully connected component, where cone units
+//!   would serialize), the cones **split**: one wave per logic level, each
+//!   net its own unit, keeping intra-level parallelism.
+//!
+//! One read rule serves both: a unit reads its own nets from its local
+//! buffer and every other net from the states merged after earlier
+//! waves, in fixed unit order. Each net's work is a fixed sequence of
+//! floating-point operations that does not depend on which worker runs it
+//! or in what order units finish, and per-victim adjustments are emitted
+//! in canonical `(net, polarity)` order, so **N-thread results are
+//! bit-identical to 1-thread results** under either split.
 //!
 //! # Topology-keyed factorization cache
 //!
@@ -105,9 +112,10 @@
 //!   victim would have built itself, so budgeted and unbounded runs are
 //!   bit-identical (asserted by tests and `spefbus --cache-budget`).
 //! * **Deadline** — [`SiOptions::deadline`] is polled cooperatively at
-//!   cone-task and iteration boundaries. On expiry, in-flight work
-//!   finishes, remaining cones keep their *nominal* (crosstalk-free)
-//!   timing, each skipped victim is recorded as a
+//!   work-unit and iteration boundaries. On expiry, in-flight work
+//!   finishes, remaining units are only propagated (no victim reductions,
+//!   so fanout still sees the push-out of victims that ran), each skipped
+//!   victim is recorded as a
 //!   [`DegradeAction::DeadlineSkipped`] event, and the analysis returns a
 //!   well-formed partial result with [`SiDiagnostics::timed_out`] set.
 //! * **Convergence governor** — [`SiOptions::convergence_governor`]
@@ -120,9 +128,9 @@
 //!   the added pessimism is visible, never silent.
 
 use crate::boundary::BoundaryConditions;
+use crate::engine::run_waves;
 use crate::engine::Sta;
 use crate::netlist::NetId;
-use crate::par::par_map;
 use crate::report::TimingReport;
 use crate::StaError;
 use nsta_circuit::{
@@ -324,8 +332,8 @@ pub enum DegradeAction {
     /// The dense retry failed too; retried once more with the timestep
     /// halved.
     HalvedTimestep,
-    /// A cone worker panicked; the cone was recomputed inline on the
-    /// coordinator.
+    /// A worker panicked on a work unit (a cone, or one net of a split
+    /// cone); the unit was recomputed inline on the coordinator.
     ConeRetry,
     /// A poisoned topo-cache lock was recovered instead of panicking.
     LockRecovered,
@@ -333,9 +341,9 @@ pub enum DegradeAction {
     /// under [`FaultPolicy::Isolate`]: the victim's adjustment was
     /// dropped and the net keeps its nominal timing.
     VictimDropped,
-    /// The analysis deadline expired before this victim's cone (or
-    /// level slot) was scheduled: the net keeps its *stale* nominal
-    /// (crosstalk-free) timing and the run is marked
+    /// The analysis deadline expired before this victim's work unit was
+    /// scheduled: the net is propagated from its fanin without its own
+    /// (crosstalk) reduction and the run is marked
     /// [`SiDiagnostics::timed_out`].
     DeadlineSkipped,
 }
@@ -380,9 +388,11 @@ pub struct SiOptions {
     /// iterations (s). Also bounds how far a cached victim's timing inputs
     /// may drift before the incremental fixed point re-simulates it.
     pub convergence_tol: f64,
-    /// Worker threads for the levelized sweep and the per-victim transient
-    /// reductions. `1` (default) runs inline; any value produces
-    /// bit-identical results (see the module docs).
+    /// Worker threads for the sweeps' work units — whole cones, or the
+    /// nets of one level when there are fewer cones than workers — and
+    /// with them the per-victim transient reductions. `1` (default) runs
+    /// inline; any value produces bit-identical results (see the module
+    /// docs).
     pub threads: usize,
     /// When `true` (default), victims whose cache key is unchanged between
     /// fixed-point iterations reuse their previous `Γeff` instead of
@@ -412,7 +422,7 @@ pub struct SiOptions {
     /// (generous but finite); `usize::MAX` disables the bound.
     pub cache_budget_bytes: usize,
     /// Wall-clock budget of the analysis (default `None`: unbounded),
-    /// polled cooperatively at cone-task and iteration boundaries. See
+    /// polled cooperatively at work-unit and iteration boundaries. See
     /// the module docs ("Resource governance") for expiry semantics.
     pub deadline: Option<Deadline>,
     /// When `true` (default), the fixed point watches for stagnation or
@@ -562,14 +572,14 @@ pub struct SiDiagnostics {
     /// victim stages, whether or not the topology cache stored them.
     pub solver_nnz: usize,
     /// Every action of the fault-tolerance layer during this call, in
-    /// canonical `(net, polarity)` order: fallback-chain retries, cone
+    /// canonical `(net, polarity)` order: fallback-chain retries, work-unit
     /// retries after worker panics, recovered locks, dropped victims,
     /// and deadline-skipped victims. Empty on healthy runs.
     pub degrade_events: Vec<DegradeEvent>,
     /// Whether [`SiOptions::deadline`] expired before the analysis
     /// finished: the result is partial — every skipped victim carries a
-    /// [`DegradeAction::DeadlineSkipped`] event and kept its stale
-    /// nominal timing.
+    /// [`DegradeAction::DeadlineSkipped`] event and was propagated
+    /// without its own crosstalk reduction.
     pub timed_out: bool,
     /// Topology-cache entries evicted to honor
     /// [`SiOptions::cache_budget_bytes`] (including inserts refused
@@ -609,7 +619,7 @@ impl SiDiagnostics {
 
     /// Nets whose crosstalk reduction was skipped by deadline expiry —
     /// their reported timing is the stale nominal value — sorted and
-    /// deduplicated. Empty iff the run did not time out mid-sweep.
+    /// deduplicated. Empty iff expiry skipped no victim.
     pub fn stale_nets(&self) -> Vec<NetId> {
         let mut nets: Vec<NetId> = self
             .degrade_events
@@ -866,7 +876,7 @@ struct CacheState {
 /// The topology-keyed factorization cache: shared across victims,
 /// polarities, fixed-point iterations and worker threads of one analysis
 /// call — or, when a long-lived session supplies its own instance to
-/// [`Sta::analyze_windows_with_cache`], across every incremental re-solve
+/// [`Sta::session_analyze`], across every incremental re-solve
 /// of that session (entries invalidated by an edit are dropped via
 /// [`TopoCache::release_nets`]). Hit/miss/eviction counters are
 /// statistics only — under
@@ -922,7 +932,7 @@ impl TopoCache {
     /// for unbounded); `enabled: false` builds a pass-through instance
     /// that never stores or serves entries. Public so a long-lived
     /// session can own one cache across many incremental analyses — see
-    /// [`Sta::analyze_windows_with_cache`].
+    /// [`Sta::session_analyze`].
     pub fn new(enabled: bool, budget_bytes: usize) -> Self {
         TopoCache {
             enabled,
@@ -1189,26 +1199,24 @@ type PassResult = (
     Vec<DegradeEvent>,
 );
 
-/// Per-cone result of one crosstalk pass, merged deterministically in
-/// cone order by the scheduler.
-struct ConeOutcome {
-    /// Final state of every net of the cone, aligned with the cone's
-    /// net order.
-    states: Vec<crate::engine::NetState>,
+/// Per-unit result of one crosstalk pass besides the unit's states,
+/// merged deterministically in unit order after the pass.
+#[derive(Default)]
+struct UnitOutcome {
     adjustments: Vec<SiAdjustment>,
     /// Freshly simulated victim results to install in the victim cache
-    /// after the parallel section (each `(net, polarity)` is visited once
-    /// per pass, so a deferred insert is never read within the same pass).
+    /// after the pass (each `(net, polarity)` is visited once per pass,
+    /// so a deferred insert is never read within the same pass).
     inserts: Vec<VictimInsert>,
-    /// Victim transitions this cone re-simulated vs served from the
+    /// Victim transitions this unit re-simulated vs served from the
     /// victim cache.
     stats: PassStats,
-    /// Fault-tolerance actions taken while reducing this cone's victims.
+    /// Fault-tolerance actions taken while reducing this unit's victims.
     degrades: Vec<DegradeEvent>,
 }
 
 /// Victim-cache effectiveness of one crosstalk pass, summed over its
-/// cones or levels.
+/// work units.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PassStats {
     /// Victim transitions that ran a fresh transient reduction.
@@ -1267,20 +1275,20 @@ impl Sta {
         })
     }
 
-    /// One crosstalk-adjusted forward sweep. `cache` (with its staleness
+    /// One crosstalk-adjusted forward sweep over the cones `scope`
+    /// selects, on the work units of [`Sta::sweep_waves`]: each unit
+    /// propagates its nets in order and reduces every victim as it is
+    /// reached, before later nets read it. `cache` (with its staleness
     /// tolerance) short-circuits victims whose key is unchanged since an
     /// earlier iteration; `topo` shares factored transient systems across
     /// structurally identical victim stages.
     ///
-    /// Scheduling is hybrid: with at least one fanout cone per worker the
-    /// pass is cone-partitioned (one task per weakly-connected component,
-    /// no level barriers); a graph with fewer cones than workers — e.g. a
-    /// fully connected design — falls back to level-synchronous
-    /// scheduling so intra-level parallelism is not lost. Either way the
-    /// per-victim arithmetic is a fixed operation sequence and the
-    /// returned adjustments are sorted into `(net, rise-first)` order, so
-    /// results are bit-identical across thread counts *and* across the
-    /// two schedules.
+    /// A unit the deadline skipped is propagated without reductions — its
+    /// nets carry the push-out of victims that already ran — and records
+    /// each of its victims as [`DegradeAction::DeadlineSkipped`]. The per-victim arithmetic is a
+    /// fixed operation sequence and the returned adjustments and events
+    /// are sorted into `(net, rise-first)` order, so results are
+    /// bit-identical across thread counts and schedules.
     #[allow(clippy::too_many_arguments)]
     fn crosstalk_pass(
         &self,
@@ -1290,7 +1298,7 @@ impl Sta {
         backend: SolverBackend,
         base: &[crate::engine::NetState],
         threads: usize,
-        cache: Option<(&mut VictimCache, f64)>,
+        mut cache: Option<(&mut VictimCache, f64)>,
         topo: Option<&TopoCache>,
         policy: FaultPolicy,
         deadline: Option<&Deadline>,
@@ -1308,21 +1316,154 @@ impl Sta {
                 )));
             }
         }
-        // A scoped pass (a session's dirty-cluster re-solve) always takes
-        // the cone schedule: the scope is a cone mask, and the handful of
-        // scoped cones would gain nothing from level synchronization.
-        let cones = self.graph().components().len();
-        let (states, mut adjustments, stats, mut degrades) = if scope.is_some()
-            || cones >= threads.max(1)
-        {
-            self.crosstalk_pass_cones(
-                bc, &spec_of, method, backend, base, threads, cache, topo, policy, deadline, scope,
-            )?
-        } else {
-            self.crosstalk_pass_levels(
-                bc, &spec_of, method, backend, base, threads, cache, topo, policy, deadline,
-            )?
-        };
+        let th = Thresholds::cmos(self.library().voltage);
+        let waves = self.sweep_waves(threads, scope);
+        let mut states = self.init_states(bc, false);
+        // Immutable view of the victim cache for the units; fresh results
+        // are collected per unit and installed after the pass.
+        let read_cache: Option<(&VictimCache, f64)> = cache.as_ref().map(|(c, tol)| (&**c, *tol));
+        let runs = run_waves(&waves, &mut states, threads, deadline, |unit, merged| {
+            // Fault-injection site: a unit panics at entry, exactly where
+            // an assertion or slice bug in the per-unit work would. The
+            // pool catches it and the coordinator retries the unit inline
+            // — this site only fires once per opportunity index, so the
+            // retry runs clean.
+            if nsta_obs::fault::should_fire(nsta_obs::fault::WORKER_PANIC) {
+                panic!("injected: work-unit worker panic");
+            }
+            let mut unit_span = nsta_obs::span!("si.cone");
+            unit_span.set_arg("nets", unit.len() as f64);
+            let mut out = UnitOutcome::default();
+            let local = self.sweep_unit(unit, merged, bc, false, |net, state| {
+                let Some(spec) = spec_of[net.0] else {
+                    return Ok(());
+                };
+                for pol in [Polarity::Rise, Polarity::Fall] {
+                    let point = *state.get(pol);
+                    if !point.valid {
+                        continue;
+                    }
+                    // Keys are only built when a victim cache is active —
+                    // without one they would never be read.
+                    let key = match read_cache {
+                        Some(_) => {
+                            Some(self.victim_key(spec, pol, point.arrival, point.slew, base)?)
+                        }
+                        None => None,
+                    };
+                    let hit = Self::victim_cache_hit(read_cache, net, pol, key.as_ref());
+                    match hit {
+                        Some(_) => out.stats.cached += 1,
+                        None => out.stats.recomputed += 1,
+                    }
+                    let (gamma, base_arrival) = match hit {
+                        Some(found) => found,
+                        None => match self.victim_gamma(
+                            bc,
+                            spec,
+                            pol,
+                            point.arrival,
+                            point.slew,
+                            base,
+                            method,
+                            backend,
+                            topo,
+                            &mut out.degrades,
+                        ) {
+                            Ok(fresh) => {
+                                // Only freshly simulated results enter the
+                                // victim cache, paired with the exact key
+                                // they were computed from.
+                                if let Some(key) = key {
+                                    out.inserts
+                                        .push(((net.0, pol.is_rise()), (key, fresh.0, fresh.1)));
+                                }
+                                fresh
+                            }
+                            Err(e) if policy == FaultPolicy::Isolate => {
+                                out.degrades.push(DegradeEvent {
+                                    net: Some(net),
+                                    polarity: Some(pol),
+                                    action: DegradeAction::VictimDropped,
+                                    cause: e.to_string(),
+                                    recovered: false,
+                                });
+                                // The victim keeps its nominal
+                                // (crosstalk-free) timing point.
+                                continue;
+                            }
+                            Err(e) => return Err(e),
+                        },
+                    };
+                    let p = state.get_mut(pol);
+                    p.arrival = gamma.arrival_mid();
+                    p.slew = gamma.slew(th);
+                    out.adjustments.push(SiAdjustment {
+                        net,
+                        polarity: pol,
+                        base_arrival,
+                        noisy_arrival: p.arrival,
+                        noisy_slew: p.slew,
+                    });
+                }
+                Ok(())
+            })?;
+            unit_span.set_arg("recomputed", out.stats.recomputed as f64);
+            unit_span.set_arg("cached", out.stats.cached as f64);
+            Ok((local, out))
+        })?;
+        let mut adjustments = Vec::new();
+        let mut stats = PassStats::default();
+        let mut degrades = Vec::new();
+        let mut inserts = Vec::new();
+        for run in runs {
+            if let Some(mut out) = run.outcome {
+                adjustments.append(&mut out.adjustments);
+                stats.recomputed += out.stats.recomputed;
+                stats.cached += out.stats.cached;
+                degrades.append(&mut out.degrades);
+                inserts.append(&mut out.inserts);
+            } else {
+                // Deadline-skipped unit: propagated without any victim
+                // reduction, so its nets keep the push-out of victims
+                // that already ran (a skipped whole cone reproduces
+                // `base`), and every victim in it is recorded so the
+                // staleness is attributable per net. Expiry is monotone,
+                // so no unit of a later wave ran; filling in run order
+                // gives each skipped unit its final fanin states.
+                let local = self.sweep_unit(run.nets, &states, bc, false, |_, _| Ok(()))?;
+                for (&net, st) in run.nets.iter().zip(local) {
+                    states[net.0] = st;
+                    if spec_of[net.0].is_some() {
+                        degrades.push(DegradeEvent {
+                            net: Some(net),
+                            polarity: None,
+                            action: DegradeAction::DeadlineSkipped,
+                            cause: "analysis deadline expired before this victim's work unit \
+                                    was scheduled; victim keeps stale nominal timing"
+                                .to_string(),
+                            recovered: false,
+                        });
+                    }
+                }
+            }
+            // A unit the pool recomputed inline after a worker-side panic:
+            // the retry already produced full results; record the
+            // recovery against the unit's first net.
+            if run.retried {
+                degrades.push(DegradeEvent {
+                    net: run.nets.first().copied(),
+                    polarity: None,
+                    action: DegradeAction::ConeRetry,
+                    cause: "work-unit worker panicked; recomputed inline on the coordinator"
+                        .to_string(),
+                    recovered: true,
+                });
+            }
+        }
+        if let Some((c, _)) = cache.as_mut() {
+            c.entries.extend(inserts);
+        }
         // Canonical adjustment order, independent of the schedule: each
         // `(net, polarity)` appears at most once per pass. Degrade events
         // get the same ordering (stable, so a victim's fallback chain
@@ -1334,379 +1475,6 @@ impl Sta {
                 e.polarity.map_or(2usize, |p| !p.is_rise() as usize),
             )
         });
-        Ok((states, adjustments, stats, degrades))
-    }
-
-    /// Cone-partitioned crosstalk sweep: every weakly-connected component
-    /// of the graph is one task — fanin updates and victim reductions
-    /// interleaved in topological order — evaluated on the worker pool
-    /// and merged in cone order.
-    #[allow(clippy::too_many_arguments)]
-    fn crosstalk_pass_cones(
-        &self,
-        bc: &BoundaryConditions,
-        spec_of: &[Option<&CouplingSpec>],
-        method: MethodKind,
-        backend: SolverBackend,
-        base: &[crate::engine::NetState],
-        threads: usize,
-        mut cache: Option<(&mut VictimCache, f64)>,
-        topo: Option<&TopoCache>,
-        policy: FaultPolicy,
-        deadline: Option<&Deadline>,
-        scope: Option<&[bool]>,
-    ) -> Result<PassResult, StaError> {
-        let th = Thresholds::cmos(self.library().voltage);
-        let seed = self.init_states(bc, false);
-        let components = self.graph().components();
-        // Cone work list, filtered by the optional cone-scope mask but
-        // keeping each cone's original index so merge order, retry
-        // attribution and epoch bookkeeping stay schedule-independent.
-        // Out-of-scope cones are never propagated: their states stay at
-        // the seed, exactly like the scoped forward sweeps' (the caller
-        // discards them).
-        let active: Vec<(usize, &[NetId])> = components
-            .iter()
-            .enumerate()
-            .filter(|(ci, _)| scope.is_none_or(|s| s.get(*ci).copied().unwrap_or(false)))
-            .map(|(ci, cone)| (ci, cone.as_slice()))
-            .collect();
-        let (outcomes, retried) = {
-            // Immutable view of the victim cache for the parallel section;
-            // fresh results are collected per cone and installed after.
-            let read_cache: Option<(&VictimCache, f64)> =
-                cache.as_ref().map(|(c, tol)| (&**c, *tol));
-            crate::par::par_map_govern(
-                threads,
-                &active,
-                deadline,
-                |&(_ci, cone)| -> Result<ConeOutcome, StaError> {
-                    // Fault-injection site: a cone task panics at entry,
-                    // exactly where an assertion or slice bug in the
-                    // per-cone work would. The pool catches it and the
-                    // coordinator retries the cone inline — this site only
-                    // fires once per opportunity index, so the retry runs
-                    // clean.
-                    if nsta_obs::fault::should_fire(nsta_obs::fault::WORKER_PANIC) {
-                        panic!("injected: cone worker panic");
-                    }
-                    let mut cone_span = nsta_obs::span!("si.cone");
-                    cone_span.set_arg("nets", cone.len() as f64);
-                    let mut local: Vec<crate::engine::NetState> =
-                        cone.iter().map(|&net| seed[net.0]).collect();
-                    let mut out = ConeOutcome {
-                        states: Vec::new(),
-                        adjustments: Vec::new(),
-                        inserts: Vec::new(),
-                        stats: PassStats::default(),
-                        degrades: Vec::new(),
-                    };
-                    for (j, &net) in cone.iter().enumerate() {
-                        // Cone-local state buffer: all fanin of a cone net is
-                        // in the same cone by construction.
-                        let updated = self.propagate_net_with(
-                            net,
-                            |i| local[self.graph().cone_slot(NetId(i))],
-                            bc,
-                            false,
-                        )?;
-                        local[j] = updated;
-                        let Some(spec) = spec_of[net.0] else { continue };
-                        for pol in [Polarity::Rise, Polarity::Fall] {
-                            let point = *local[j].get(pol);
-                            if !point.valid {
-                                continue;
-                            }
-                            // Keys are only built when a victim cache is active
-                            // — without one they would never be read.
-                            let key = match read_cache {
-                                Some(_) => Some(self.victim_key(
-                                    spec,
-                                    pol,
-                                    point.arrival,
-                                    point.slew,
-                                    base,
-                                )?),
-                                None => None,
-                            };
-                            let hit = Self::victim_cache_hit(read_cache, net, pol, key.as_ref());
-                            match hit {
-                                Some(_) => out.stats.cached += 1,
-                                None => out.stats.recomputed += 1,
-                            }
-                            let (gamma, base_arrival) = match hit {
-                                Some(found) => found,
-                                None => {
-                                    match self.victim_gamma(
-                                        bc,
-                                        spec,
-                                        pol,
-                                        point.arrival,
-                                        point.slew,
-                                        base,
-                                        method,
-                                        backend,
-                                        topo,
-                                        &mut out.degrades,
-                                    ) {
-                                        Ok(fresh) => {
-                                            // Only freshly simulated results
-                                            // enter the victim cache, paired
-                                            // with the exact key they were
-                                            // computed from.
-                                            if let Some(key) = key {
-                                                out.inserts.push((
-                                                    (net.0, pol.is_rise()),
-                                                    (key, fresh.0, fresh.1),
-                                                ));
-                                            }
-                                            fresh
-                                        }
-                                        Err(e) if policy == FaultPolicy::Isolate => {
-                                            out.degrades.push(DegradeEvent {
-                                                net: Some(net),
-                                                polarity: Some(pol),
-                                                action: DegradeAction::VictimDropped,
-                                                cause: e.to_string(),
-                                                recovered: false,
-                                            });
-                                            // The victim keeps its nominal
-                                            // (crosstalk-free) timing point.
-                                            continue;
-                                        }
-                                        Err(e) => return Err(e),
-                                    }
-                                }
-                            };
-                            let p = local[j].get_mut(pol);
-                            p.arrival = gamma.arrival_mid();
-                            p.slew = gamma.slew(th);
-                            out.adjustments.push(SiAdjustment {
-                                net,
-                                polarity: pol,
-                                base_arrival,
-                                noisy_arrival: p.arrival,
-                                noisy_slew: p.slew,
-                            });
-                        }
-                    }
-                    cone_span.set_arg("recomputed", out.stats.recomputed as f64);
-                    cone_span.set_arg("cached", out.stats.cached as f64);
-                    out.states = local;
-                    Ok(out)
-                },
-            )
-        };
-        // Deterministic merge: cone order is fixed by the graph, the work
-        // inside each cone by its topological order.
-        let mut states = seed;
-        let mut adjustments = Vec::new();
-        let mut stats = PassStats::default();
-        let mut degrades = Vec::new();
-        for (&(_ci, cone), outcome) in active.iter().zip(outcomes) {
-            let Some(outcome) = outcome else {
-                // Deadline-skipped cone: its nets keep the nominal
-                // (crosstalk-free) sweep's states — valid, just stale —
-                // and every victim in it is recorded so the staleness is
-                // attributable per net.
-                for &net in cone {
-                    states[net.0] = base[net.0];
-                    if spec_of[net.0].is_some() {
-                        degrades.push(DegradeEvent {
-                            net: Some(net),
-                            polarity: None,
-                            action: DegradeAction::DeadlineSkipped,
-                            cause: "analysis deadline expired before this cone was scheduled; \
-                                    victim keeps stale nominal timing"
-                                .to_string(),
-                            recovered: false,
-                        });
-                    }
-                }
-                continue;
-            };
-            let mut outcome = outcome?;
-            for (&net, st) in cone.iter().zip(outcome.states) {
-                states[net.0] = st;
-            }
-            adjustments.extend(outcome.adjustments);
-            stats.recomputed += outcome.stats.recomputed;
-            stats.cached += outcome.stats.cached;
-            degrades.append(&mut outcome.degrades);
-            if let Some((c, _)) = cache.as_mut() {
-                for (slot, entry) in outcome.inserts {
-                    c.entries.insert(slot, entry);
-                }
-            }
-        }
-        // Cones the pool had to recompute inline after a worker-side
-        // panic: the retry already produced full results above; record
-        // the recovery against the cone's first net.
-        for idx in retried {
-            degrades.push(DegradeEvent {
-                net: active.get(idx).and_then(|&(_, c)| c.first()).copied(),
-                polarity: None,
-                action: DegradeAction::ConeRetry,
-                cause: "cone worker panicked; recomputed inline on the coordinator".to_string(),
-                recovered: true,
-            });
-        }
-        Ok((states, adjustments, stats, degrades))
-    }
-
-    /// Level-synchronous crosstalk sweep — the fallback for graphs with
-    /// fewer fanout cones than workers (e.g. one fully connected
-    /// component, where cone tasks would serialize everything): the fanin
-    /// updates of each level fan across the pool, then the level's
-    /// cache-missing victim reductions do.
-    #[allow(clippy::too_many_arguments)]
-    fn crosstalk_pass_levels(
-        &self,
-        bc: &BoundaryConditions,
-        spec_of: &[Option<&CouplingSpec>],
-        method: MethodKind,
-        backend: SolverBackend,
-        base: &[crate::engine::NetState],
-        threads: usize,
-        mut cache: Option<(&mut VictimCache, f64)>,
-        topo: Option<&TopoCache>,
-        policy: FaultPolicy,
-        deadline: Option<&Deadline>,
-    ) -> Result<PassResult, StaError> {
-        let th = Thresholds::cmos(self.library().voltage);
-        let mut states = self.init_states(bc, false);
-        let mut adjustments = Vec::new();
-        let mut stats = PassStats::default();
-        let mut degrades: Vec<DegradeEvent> = Vec::new();
-        // Once the deadline reads expired it stays expired (both clocks
-        // are monotone): every later level skips its victim reductions.
-        let mut expired = false;
-        for level in self.graph().levels() {
-            // Fanin updates of this level (parallel, merged in net order).
-            let updated = par_map(threads, level, |&net| {
-                self.propagate_net_with(net, |i| states[i], bc, false)
-            });
-            for (&net, result) in level.iter().zip(updated) {
-                states[net.0] = result?;
-            }
-            // Cooperative cancellation at the level boundary: fanin
-            // propagation above still ran (downstream levels need valid
-            // states — it is cheap, no transient solves), but this
-            // level's victim reductions are skipped and recorded.
-            expired = expired || deadline.is_some_and(|d| d.expired());
-            if expired {
-                for &net in level {
-                    if spec_of[net.0].is_some() {
-                        degrades.push(DegradeEvent {
-                            net: Some(net),
-                            polarity: None,
-                            action: DegradeAction::DeadlineSkipped,
-                            cause: "analysis deadline expired before this level's victims \
-                                    were scheduled; victim keeps stale nominal timing"
-                                .to_string(),
-                            recovered: false,
-                        });
-                    }
-                }
-                continue;
-            }
-            // Victim transitions of this level: resolve each against the
-            // victim cache or queue it for parallel evaluation. Same-level
-            // victims only read `base` and earlier levels, so their
-            // reductions are independent.
-            let read_cache: Option<(&VictimCache, f64)> =
-                cache.as_ref().map(|(c, tol)| (&**c, *tol));
-            let mut units = Vec::new();
-            let mut jobs = Vec::new();
-            for &net in level {
-                let Some(spec) = spec_of[net.0] else { continue };
-                for pol in [Polarity::Rise, Polarity::Fall] {
-                    let point = *states[net.0].get(pol);
-                    if !point.valid {
-                        continue;
-                    }
-                    let key = match read_cache {
-                        Some(_) => {
-                            Some(self.victim_key(spec, pol, point.arrival, point.slew, base)?)
-                        }
-                        None => None,
-                    };
-                    let hit = Self::victim_cache_hit(read_cache, net, pol, key.as_ref());
-                    if hit.is_none() {
-                        jobs.push((spec, pol, point.arrival, point.slew));
-                    }
-                    units.push((net, pol, hit, key));
-                }
-            }
-            stats.recomputed += jobs.len();
-            stats.cached += units.len() - jobs.len();
-            let results = par_map(threads, &jobs, |&(spec, pol, arrival, slew)| {
-                let mut events = Vec::new();
-                let result = self.victim_gamma(
-                    bc,
-                    spec,
-                    pol,
-                    arrival,
-                    slew,
-                    base,
-                    method,
-                    backend,
-                    topo,
-                    &mut events,
-                );
-                (result, events)
-            });
-            let mut results = results.into_iter();
-            for (net, pol, hit, key) in units {
-                let resolved = match hit {
-                    Some(found) => Some(found),
-                    None => {
-                        let (result, mut events) = results.next().unwrap_or_else(|| {
-                            panic!("scheduler bug: missing result for queued job")
-                        });
-                        degrades.append(&mut events);
-                        match result {
-                            Ok(fresh) => {
-                                // Only freshly simulated results enter the
-                                // victim cache, paired with the exact key
-                                // they were computed from.
-                                if let (Some((c, _)), Some(key)) = (cache.as_mut(), key) {
-                                    c.entries
-                                        .insert((net.0, pol.is_rise()), (key, fresh.0, fresh.1));
-                                }
-                                Some(fresh)
-                            }
-                            Err(e) if policy == FaultPolicy::Isolate => {
-                                degrades.push(DegradeEvent {
-                                    net: Some(net),
-                                    polarity: Some(pol),
-                                    action: DegradeAction::VictimDropped,
-                                    cause: e.to_string(),
-                                    recovered: false,
-                                });
-                                None
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                };
-                // A dropped victim keeps its nominal (crosstalk-free)
-                // timing point.
-                let Some((gamma, base_arrival)) = resolved else {
-                    continue;
-                };
-                let p = states[net.0].get_mut(pol);
-                p.arrival = gamma.arrival_mid();
-                p.slew = gamma.slew(th);
-                adjustments.push(SiAdjustment {
-                    net,
-                    polarity: pol,
-                    base_arrival,
-                    noisy_arrival: p.arrival,
-                    noisy_slew: p.slew,
-                });
-            }
-        }
         Ok((states, adjustments, stats, degrades))
     }
 
@@ -1734,7 +1502,9 @@ impl Sta {
     /// in `couplings`, reducing noisy waveforms with `method`.
     ///
     /// Returns the report plus the per-victim adjustments that were applied
-    /// (useful for method comparisons).
+    /// (useful for method comparisons). This is
+    /// [`Sta::analyze_with_crosstalk_windows`] with the window filter and
+    /// the victim cache off, at one thread.
     ///
     /// # Errors
     ///
@@ -1750,30 +1520,19 @@ impl Sta {
         couplings: &[CouplingSpec],
         method: MethodKind,
     ) -> Result<(TimingReport, Vec<SiAdjustment>), StaError> {
-        let bc = constraints.into();
-        self.check_unique_victims(couplings)?;
-        // Pass 1: nominal arrivals — aggressor ramps need them.
-        let base = self.forward_sweep(&bc)?;
-        // Pass 2: sweep again, overriding victim nets as they are reached.
-        // The topology cache is always on here (no options to disable it);
-        // it cannot change results, only skip redundant factorizations.
-        let topo = TopoCache::new(true, SiOptions::DEFAULT_CACHE_BUDGET_BYTES);
-        let (states, adjustments, _stats, _degrades) = self.crosstalk_pass(
-            &bc,
-            couplings,
+        // The unwindowed path of the windowed analysis is this analysis:
+        // one nominal sweep, one pass at one thread with no victim cache,
+        // no deadline and `FaultPolicy::Fail`, then the report finish.
+        let options = SiOptions {
             method,
-            SolverBackend::default(),
-            &base,
-            1,
-            None,
-            Some(&topo),
-            FaultPolicy::Fail,
-            None,
-            None,
-        )?;
-        let mask = self.false_edge_mask(&bc);
-        let report = self.finish_report(&bc, states, mask.as_ref())?;
-        Ok((report, adjustments))
+            use_windows: false,
+            incremental: false,
+            ..SiOptions::default()
+        };
+        let topo = TopoCache::new(true, SiOptions::DEFAULT_CACHE_BUDGET_BYTES);
+        let (analysis, _states) =
+            self.analyze_windows_with_cache(constraints, couplings, &options, &topo, None)?;
+        Ok((analysis.report, analysis.adjustments))
     }
 
     /// Switching windows per net: earliest arrivals from the min sweep,
@@ -1865,9 +1624,9 @@ impl Sta {
     /// The nominal sweep feeding aggressor ramps and earliest windows is
     /// computed once, outside the loop; with [`SiOptions::incremental`]
     /// only victims whose cache key changed between iterations are
-    /// re-simulated, and with [`SiOptions::threads`] the per-level work
-    /// runs on a worker pool (both without changing any result bit — see
-    /// the module docs).
+    /// re-simulated, and with [`SiOptions::threads`] the work units run on
+    /// a worker pool (both without changing any result bit — see the
+    /// module docs).
     ///
     /// # Errors
     ///
@@ -1896,7 +1655,7 @@ impl Sta {
     /// call.
     ///
     /// `scope` optionally restricts the two hoisted sweeps to a per-cone
-    /// mask (see [`Sta::forward_sweep_scoped`]): the session layer passes
+    /// mask (see [`Sta::forward_sweep`]): the session layer passes
     /// the dirty-cluster cone mask so a per-edit re-solve never sweeps
     /// untouched cones. Sound because the fixed point and the window
     /// filter only ever read states of coupling participants, all of
@@ -1943,7 +1702,7 @@ impl Sta {
         // constraint-set arrival ranges instead of a single point.
         let base = {
             let _sweep_span = nsta_obs::span!("si.nominal_sweep");
-            self.forward_sweep_scoped(&bc, false, threads, scope)?
+            self.forward_sweep(&bc, false, threads, scope)?
         };
         let deadline = options.deadline.as_ref();
         let cones = self.graph().components().len();
@@ -2000,7 +1759,7 @@ impl Sta {
                 deadline,
                 scope,
             )?;
-            let report = self.finish_report_scoped(&bc, states.clone(), mask, net_scope)?;
+            let report = self.finish_report(&bc, states.clone(), mask, net_scope)?;
             let timed_out = degrades
                 .iter()
                 .any(|e| e.action == DegradeAction::DeadlineSkipped);
@@ -2023,9 +1782,9 @@ impl Sta {
 
         let min_states = {
             let _sweep_span = nsta_obs::span!("si.min_sweep");
-            self.forward_sweep_scoped(&bc, true, threads, scope)?
+            self.forward_sweep(&bc, true, threads, scope)?
         };
-        let clean = self.finish_report_scoped(&bc, base.clone(), mask, net_scope)?;
+        let clean = self.finish_report(&bc, base.clone(), mask, net_scope)?;
         let mut windows = self.windows_from(&min_states, &clean);
         let mut previous: Option<TimingReport> = Some(clean);
 
@@ -2091,7 +1850,7 @@ impl Sta {
                 scope,
             )?;
             degrade_events.append(&mut degrades);
-            let report = self.finish_report_scoped(&bc, states.clone(), mask, net_scope)?;
+            let report = self.finish_report(&bc, states.clone(), mask, net_scope)?;
             let prev_windows =
                 std::mem::replace(&mut windows, self.windows_from(&min_states, &report));
             let moved = previous
@@ -2883,7 +2642,7 @@ mod tests {
         let sta = Sta::new(windowed_design(), lib().clone()).unwrap();
         let c = Constraints::default();
         let min_states = sta
-            .forward_sweep_partitioned(&BoundaryConditions::from(&c), true, 1)
+            .forward_sweep(&BoundaryConditions::from(&c), true, 1, None)
             .unwrap();
         let report = sta.analyze(c).unwrap();
         let windows = sta.windows_from(&min_states, &report);
@@ -3068,8 +2827,8 @@ mod tests {
     #[test]
     fn single_cone_design_falls_back_to_level_scheduling_bit_identically() {
         let _obs = crate::obs_test_guard();
-        // With one cone and threads > 1 the pass must fall back to
-        // level-synchronous scheduling (cone tasks would serialize) and
+        // With one cone and threads > 1 the pass must split the cone into
+        // per-level units (a whole-cone unit would serialize) and
         // still reproduce the 1-thread (cone-scheduled) result bit for
         // bit — including the canonical adjustment order.
         let sta = Sta::new(single_cone_design(), lib().clone()).unwrap();
@@ -3094,6 +2853,94 @@ mod tests {
         assert_analyses_identical(&sequential, &threaded);
         assert!(!sequential.adjustments.is_empty());
         assert_eq!(sequential.cones(), 1);
+    }
+
+    #[test]
+    fn pre_expired_deadline_on_a_split_schedule_matches_one_thread() {
+        let _obs = crate::obs_test_guard();
+        // Two workers on one cone split the pass into per-level units; a
+        // deadline expired before the first unit must leave the same
+        // partial result as the one-thread whole-cone schedule: every net
+        // at its nominal state, one DeadlineSkipped event per victim.
+        let sta = Sta::new(single_cone_design(), lib().clone()).unwrap();
+        assert!(sta.sweep_waves(2, None).len() > 1, "threads 2 must split");
+        let c = Constraints::default();
+        let v = sta.design().find_net("v").unwrap();
+        let g = sta.design().find_net("g").unwrap();
+        let spec = CouplingSpec::new(v, vec![g], 100e-15, RcLineSpec::per_micron(1000.0).unwrap());
+        let run = |threads: usize| {
+            sta.analyze_with_crosstalk_windows(
+                c,
+                std::slice::from_ref(&spec),
+                &SiOptions {
+                    threads,
+                    deadline: Some(Deadline::on_fake(nsta_obs::FakeClock::new(1), 0)),
+                    ..SiOptions::default()
+                },
+            )
+            .unwrap()
+        };
+        let (sequential, split) = (run(1), run(2));
+        assert_analyses_identical(&sequential, &split);
+        assert_eq!(sequential.degrade_events(), split.degrade_events());
+        assert!(sequential.timed_out() && split.timed_out());
+        assert_eq!(split.report, sta.analyze(c).unwrap(), "nominal timing kept");
+        assert!(split.adjustments.is_empty());
+        let skipped: Vec<_> = split
+            .degrade_events()
+            .iter()
+            .filter(|e| e.action == DegradeAction::DeadlineSkipped)
+            .collect();
+        assert_eq!(skipped.len(), 1);
+        assert_eq!(skipped[0].net, Some(v));
+    }
+
+    #[test]
+    fn deadline_after_a_victims_wave_keeps_its_push_out_downstream() {
+        let _obs = crate::obs_test_guard();
+        // Split schedule at two workers: waves {a}, {v, g}, {y, z}. The
+        // fake clock steps once per poll: one poll for the inline {a}
+        // wave, five for the pooled {v, g} wave (one per pull attempt of
+        // each worker plus the coordinator's classify poll), so a budget
+        // of 6 expires exactly at the {y, z} wave. Victim v was reduced;
+        // the skipped y must still carry v's push-out, i.e. match a run
+        // where y was never a victim.
+        let sta = Sta::new(single_cone_design(), lib().clone()).unwrap();
+        assert_eq!(sta.sweep_waves(2, None).len(), 3);
+        let c = Constraints::default();
+        let net = |name: &str| sta.design().find_net(name).unwrap();
+        let (v, g, y, z) = (net("v"), net("g"), net("y"), net("z"));
+        let line = RcLineSpec::per_micron(1000.0).unwrap();
+        let on_v = CouplingSpec::new(v, vec![g], 100e-15, line);
+        let on_y = CouplingSpec::new(y, vec![z], 100e-15, line);
+        let opts = |deadline: Option<Deadline>| SiOptions {
+            threads: 2,
+            use_windows: false,
+            deadline,
+            ..SiOptions::default()
+        };
+        let cut = sta
+            .analyze_with_crosstalk_windows(
+                c,
+                &[on_v.clone(), on_y],
+                &opts(Some(Deadline::on_fake(nsta_obs::FakeClock::new(1), 6))),
+            )
+            .unwrap();
+        assert!(cut.timed_out());
+        assert_eq!(cut.stale_nets(), vec![y], "only y's wave was skipped");
+        assert!(cut.adjustments.iter().all(|a| a.net == v));
+        assert!(!cut.adjustments.is_empty(), "v's wave ran");
+        let v_only = sta
+            .analyze_with_crosstalk_windows(c, &[on_v], &opts(None))
+            .unwrap();
+        assert_eq!(cut.report, v_only.report);
+        assert_eq!(cut.adjustments, v_only.adjustments);
+        let nominal = sta.analyze(c).unwrap();
+        assert_ne!(
+            cut.report.net(y),
+            nominal.net(y),
+            "y carries v's push-out, not its nominal timing"
+        );
     }
 
     #[test]
